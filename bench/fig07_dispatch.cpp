@@ -18,7 +18,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/GBenchJson.h"
-#include "dispatch/Engines.h"
+#include "dispatch/EngineRegistry.h"
 #include "forth/Forth.h"
 
 #include <benchmark/benchmark.h>
@@ -40,7 +40,7 @@ forth::System &dispatchProgram() {
   return *Sys;
 }
 
-void runEngineBench(benchmark::State &State, dispatch::EngineKind K) {
+void runEngineBench(benchmark::State &State, engine::EngineId K) {
   forth::System &Sys = dispatchProgram();
   uint32_t Entry = Sys.entryOf("main");
   // Scratch machine reset outside the measured region (see tos_speedup).
@@ -53,8 +53,7 @@ void runEngineBench(benchmark::State &State, dispatch::EngineKind K) {
     State.ResumeTiming();
     engine::RunOptions Opts;
     Opts.Entry = Entry;
-    RunOutcome O =
-        engine::runEngine(dispatch::engineIdOf(K), Sys.Prog, Ctx, Opts);
+    RunOutcome O = engine::runEngine(K, Sys.Prog, Ctx, Opts);
     benchmark::DoNotOptimize(O.Steps);
     Insts += O.Steps;
   }
@@ -65,13 +64,13 @@ void runEngineBench(benchmark::State &State, dispatch::EngineKind K) {
 }
 
 void BM_DirectThreading(benchmark::State &State) {
-  runEngineBench(State, dispatch::EngineKind::Threaded);
+  runEngineBench(State, engine::EngineId::Threaded);
 }
 void BM_Switch(benchmark::State &State) {
-  runEngineBench(State, dispatch::EngineKind::Switch);
+  runEngineBench(State, engine::EngineId::Switch);
 }
 void BM_CallThreading(benchmark::State &State) {
-  runEngineBench(State, dispatch::EngineKind::CallThreaded);
+  runEngineBench(State, engine::EngineId::CallThreaded);
 }
 
 BENCHMARK(BM_DirectThreading)->MinTime(sc::bench::benchMinTime(0.2));

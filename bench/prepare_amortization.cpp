@@ -7,13 +7,13 @@
 ///
 /// \file
 /// Measures what the prepare/run split buys: the cost of running a word
-/// through the legacy single-shot entry points (which re-translate the
-/// program on every call) against running a PreparedCode served by a
-/// PrepareCache (translated once, then looked up). Reported per engine
-/// across programs from a handful of instructions (translation dominates)
-/// up to the four paper workloads (execution dominates), together with
-/// the one-time prepare cost and the run count at which it has paid for
-/// itself.
+/// through engine::runEngine without a prepared handle (which prepares a
+/// temporary translation on every call) against running a PreparedCode
+/// served by a PrepareCache (translated once, then looked up). Reported
+/// per engine across programs from a handful of instructions
+/// (translation dominates) up to the four paper workloads (execution
+/// dominates), together with the one-time prepare cost and the run count
+/// at which it has paid for itself.
 ///
 /// The deterministic claims are self-asserted, not just reported: the
 /// warm loop must perform ZERO stream translations and the cache must
@@ -82,7 +82,7 @@ int main(int argc, char **argv) {
   metrics::MetricsReporter Rep("prepare_amortization");
   Rep.parseArgs(argc, argv);
   std::printf("==== Prepare-once amortization ====\n");
-  std::printf("cold: legacy single-shot entry (translate every run)\n"
+  std::printf("cold: runEngine without a handle (prepare every run)\n"
               "warm: PrepareCache::getOrPrepare + runPrepared (translate "
               "once)\n\n");
 

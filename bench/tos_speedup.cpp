@@ -17,7 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/GBenchJson.h"
-#include "dispatch/Engines.h"
+#include "dispatch/EngineRegistry.h"
 #include "forth/Forth.h"
 #include "workloads/Workloads.h"
 
@@ -43,8 +43,7 @@ std::vector<std::unique_ptr<forth::System>> &loadedSystems() {
   return Systems;
 }
 
-void runWorkload(benchmark::State &State, size_t Idx,
-                 dispatch::EngineKind K) {
+void runWorkload(benchmark::State &State, size_t Idx, engine::EngineId K) {
   forth::System &Sys = *loadedSystems()[Idx];
   uint32_t Entry = Sys.entryOf("main");
   // The scratch machine is reset outside the measured region: copying the
@@ -59,8 +58,7 @@ void runWorkload(benchmark::State &State, size_t Idx,
     State.ResumeTiming();
     engine::RunOptions Opts;
     Opts.Entry = Entry;
-    RunOutcome O =
-        engine::runEngine(dispatch::engineIdOf(K), Sys.Prog, Ctx, Opts);
+    RunOutcome O = engine::runEngine(K, Sys.Prog, Ctx, Opts);
     benchmark::DoNotOptimize(O.Steps);
     Insts += O.Steps;
   }
@@ -69,10 +67,10 @@ void runWorkload(benchmark::State &State, size_t Idx,
 
 #define SC_TOS_BENCH(Idx, Name)                                                \
   void BM_##Name##_threaded(benchmark::State &S) {                            \
-    runWorkload(S, Idx, dispatch::EngineKind::Threaded);                      \
+    runWorkload(S, Idx, engine::EngineId::Threaded);                           \
   }                                                                            \
   void BM_##Name##_tos(benchmark::State &S) {                                 \
-    runWorkload(S, Idx, dispatch::EngineKind::ThreadedTos);                   \
+    runWorkload(S, Idx, engine::EngineId::ThreadedTos);                        \
   }                                                                            \
   BENCHMARK(BM_##Name##_threaded)->MinTime(sc::bench::benchMinTime(0.2));     \
   BENCHMARK(BM_##Name##_tos)->MinTime(sc::bench::benchMinTime(0.2));

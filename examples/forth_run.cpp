@@ -25,8 +25,8 @@
 /// tests/regvm_tests asserts against.
 ///
 /// --repeat N runs the word N times; --prepare routes the runs through
-/// the PrepareCache (translate once, then look up) instead of the legacy
-/// single-shot entry points (translate every run). A summary of stream
+/// the PrepareCache (translate once, then look up) instead of preparing
+/// a temporary translation on every run. A summary of stream
 /// translations performed and cache traffic goes to stderr, making the
 /// amortization visible from the command line.
 ///

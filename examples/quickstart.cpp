@@ -14,7 +14,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "dynamic/Dynamic3Engine.h"
 #include "forth/Forth.h"
 #include "staticcache/StaticEngine.h"
 #include "staticcache/StaticSpec.h"
@@ -35,12 +34,12 @@ int main() {
 
   // 2. Run it under the four reference dispatch techniques.
   std::printf("-- engines --\n");
-  for (auto K : {dispatch::EngineKind::Switch, dispatch::EngineKind::Threaded,
-                 dispatch::EngineKind::CallThreaded,
-                 dispatch::EngineKind::ThreadedTos}) {
+  for (auto K : {engine::EngineId::Switch, engine::EngineId::Threaded,
+                 engine::EngineId::CallThreaded,
+                 engine::EngineId::ThreadedTos}) {
     forth::RunReport R = Sys->runIsolated("main", K);
     std::printf("%-14s -> %s (%llu instructions): %s",
-                engine::engineName(dispatch::engineIdOf(K)), runStatusName(R.Outcome.Status),
+                engine::engineName(K), runStatusName(R.Outcome.Status),
                 static_cast<unsigned long long>(R.Outcome.Steps),
                 R.Output.c_str());
   }
@@ -49,7 +48,10 @@ int main() {
   {
     Vm Copy = Sys->Machine;
     ExecContext Ctx(Sys->Prog, Copy);
-    RunOutcome O = dynamic::runDynamic3Engine(Ctx, Sys->entryOf("main"));
+    engine::RunOptions Opts;
+    Opts.Entry = Sys->entryOf("main");
+    RunOutcome O =
+        engine::runEngine(engine::EngineId::Dynamic3, Sys->Prog, Ctx, Opts);
     std::printf("%-14s -> %s (%llu instructions): %s", "dynamic-3state",
                 runStatusName(O.Status),
                 static_cast<unsigned long long>(O.Steps), Copy.Out.c_str());

@@ -15,7 +15,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "dispatch/Engines.h"
-#include "dispatch/EnginesInternal.h"
 
 #include "metrics/Counters.h"
 #include "support/Assert.h"
@@ -141,9 +140,15 @@ const PrimFn PrimTable[NumOpcodes] = {
 
 } // namespace
 
-void sc::dispatch::callThreadedHandlers(Cell Out[NumOpcodes]) {
-  for (unsigned I = 0; I < NumOpcodes; ++I)
-    Out[I] = static_cast<Cell>(reinterpret_cast<uintptr_t>(PrimTable[I]));
+const Cell *sc::dispatch::callThreadedHandlers() {
+  static Cell Tab[NumOpcodes];
+  static const bool Ready = [] {
+    for (unsigned I = 0; I < NumOpcodes; ++I)
+      Tab[I] = static_cast<Cell>(reinterpret_cast<uintptr_t>(PrimTable[I]));
+    return true;
+  }();
+  (void)Ready;
+  return Tab;
 }
 
 RunOutcome sc::dispatch::runCallThreadedPrepared(ExecContext &Ctx,
@@ -213,23 +218,4 @@ RunOutcome sc::dispatch::runCallThreadedPrepared(ExecContext &Ctx,
   return makeFault(G.St, G.Steps, FaultPc,
                    FaultPc < CodeSize ? Prog.Insts[FaultPc].Op : Opcode::Halt,
                    G.Dsp, G.Rsp, G.FaultAddr, G.HasFaultAddr);
-}
-
-RunOutcome sc::dispatch::runCallThreadedEngine(ExecContext &Ctx,
-                                               uint32_t Entry) {
-  SC_ASSERT(Ctx.Prog && Ctx.Machine, "unbound ExecContext");
-  const UCell CodeSize = Ctx.Prog->Insts.size();
-  SC_ASSERT(Entry < CodeSize, "entry out of range");
-  // Translate to call-threaded code: [function, operand] per instruction,
-  // into the context's pooled stream buffer.
-  if (Ctx.StreamScratch.size() < 2 * CodeSize)
-    Ctx.StreamScratch.resize(2 * CodeSize);
-  static Cell Handlers[NumOpcodes];
-  static const bool Ready = [] {
-    callThreadedHandlers(Handlers);
-    return true;
-  }();
-  (void)Ready;
-  translateStream(*Ctx.Prog, Handlers, Ctx.StreamScratch.data());
-  return runCallThreadedPrepared(Ctx, Entry, Ctx.StreamScratch.data());
 }

@@ -5,22 +5,15 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The only place in the tree where engine names are spelled out and the
-// per-engine entry points are enumerated. registry_tests greps the
-// sources to keep it that way.
+// The only place in the tree where engine names are spelled out.
+// registry_tests greps the sources to keep it that way. The per-engine
+// entry points are enumerated once, in prepare::runPrepared.
 //
 //===----------------------------------------------------------------------===//
 
 #include "dispatch/EngineRegistry.h"
 
-#include "dispatch/Engines.h"
-#include "dispatch/EnginesInternal.h"
-#include "dynamic/Dynamic3Engine.h"
-#include "dynamic/ModelInterpreter.h"
 #include "prepare/Prepare.h"
-#include "regvm/RegVm.h"
-#include "staticcache/StaticEngine.h"
-#include "staticcache/StaticSpec.h"
 #include "support/Assert.h"
 
 #include <algorithm>
@@ -30,103 +23,6 @@ using namespace sc::engine;
 using namespace sc::vm;
 
 namespace {
-
-/// Shared normalized-entry plumbing: installs the folded options into
-/// the context, routes prepared runs through the prepare subsystem, and
-/// keeps Ctx.Prog pointing at the right program for the duration.
-template <typename LegacyFn>
-RunOutcome normalizedRun(EngineId Id, const Code &Prog, ExecContext &Ctx,
-                         const RunOptions &Opts, LegacyFn Legacy) {
-  SC_ASSERT(Ctx.Machine, "unbound ExecContext");
-  Ctx.MaxSteps = Opts.MaxSteps;
-  Ctx.Resume = Opts.Resume;
-  if (Opts.Prepared) {
-    SC_ASSERT(Opts.Prepared->Engine == Id,
-              "prepared handle belongs to another engine");
-    return prepare::runPrepared(*Opts.Prepared, Ctx, Opts.Entry);
-  }
-  // Legacy single-shot path: run directly on the caller's program,
-  // translating/specializing on the fly like the historical entry
-  // points did.
-  const Code *Saved = Ctx.Prog;
-  Ctx.Prog = &Prog;
-  RunOutcome Out = Legacy(Prog, Ctx, Opts.Entry);
-  Ctx.Prog = Saved;
-  return Out;
-}
-
-RunOutcome runSwitchRow(const Code &Prog, ExecContext &Ctx,
-                        const RunOptions &Opts) {
-  return normalizedRun(EngineId::Switch, Prog, Ctx, Opts,
-                       [](const Code &, ExecContext &C, uint32_t E) {
-                         return dispatch::runSwitchEngine(C, E);
-                       });
-}
-
-RunOutcome runThreadedRow(const Code &Prog, ExecContext &Ctx,
-                          const RunOptions &Opts) {
-  return normalizedRun(EngineId::Threaded, Prog, Ctx, Opts,
-                       [](const Code &, ExecContext &C, uint32_t E) {
-                         return dispatch::runThreadedEngine(C, E);
-                       });
-}
-
-RunOutcome runCallThreadedRow(const Code &Prog, ExecContext &Ctx,
-                              const RunOptions &Opts) {
-  return normalizedRun(EngineId::CallThreaded, Prog, Ctx, Opts,
-                       [](const Code &, ExecContext &C, uint32_t E) {
-                         return dispatch::runCallThreadedEngine(C, E);
-                       });
-}
-
-RunOutcome runThreadedTosRow(const Code &Prog, ExecContext &Ctx,
-                             const RunOptions &Opts) {
-  return normalizedRun(EngineId::ThreadedTos, Prog, Ctx, Opts,
-                       [](const Code &, ExecContext &C, uint32_t E) {
-                         return dispatch::runThreadedTosEngine(C, E);
-                       });
-}
-
-RunOutcome runDynamic3Row(const Code &Prog, ExecContext &Ctx,
-                          const RunOptions &Opts) {
-  return normalizedRun(EngineId::Dynamic3, Prog, Ctx, Opts,
-                       [](const Code &, ExecContext &C, uint32_t E) {
-                         return dynamic::runDynamic3Engine(C, E);
-                       });
-}
-
-RunOutcome runModelRow(const Code &Prog, ExecContext &Ctx,
-                       const RunOptions &Opts) {
-  return normalizedRun(
-      EngineId::Model, Prog, Ctx, Opts,
-      [](const Code &, ExecContext &C, uint32_t E) {
-        return dynamic::runModelInterpreter(C, E,
-                                            dynamic::referenceModelConfig())
-            .Outcome;
-      });
-}
-
-template <bool Optimal>
-RunOutcome runStaticRow(const Code &Prog, ExecContext &Ctx,
-                        const RunOptions &Opts) {
-  return normalizedRun(
-      Optimal ? EngineId::StaticOptimal : EngineId::StaticGreedy, Prog, Ctx,
-      Opts, [](const Code &P, ExecContext &C, uint32_t E) {
-        staticcache::StaticOptions SO;
-        SO.TwoPassOptimal = Optimal;
-        staticcache::SpecProgram SP = staticcache::compileStatic(P, SO);
-        return staticcache::runStaticEngine(SP, C, E);
-      });
-}
-
-RunOutcome runRegVmRow(const Code &Prog, ExecContext &Ctx,
-                       const RunOptions &Opts) {
-  return normalizedRun(EngineId::RegVm, Prog, Ctx, Opts,
-                       [](const Code &P, ExecContext &C, uint32_t E) {
-                         regvm::RegProgram RP = regvm::compileRegProgram(P);
-                         return regvm::runRegEngine(RP, C, E);
-                       });
-}
 
 constexpr EngineCaps referenceCaps(uint8_t Rank) {
   EngineCaps C;
@@ -156,25 +52,20 @@ constexpr EngineCaps staticCaps(uint8_t Rank) {
 // between switch and direct threading (the paper's Fig. 3 ordering) and
 // drops out of reentrancy-requiring ladders via its capability flag.
 const EngineInfo Registry[NumEngineIds] = {
-    {EngineId::Switch, "switch", nullptr, referenceCaps(0), runSwitchRow},
-    {EngineId::Threaded, "threaded", nullptr, referenceCaps(2),
-     runThreadedRow},
+    {EngineId::Switch, "switch", nullptr, referenceCaps(0)},
+    {EngineId::Threaded, "threaded", nullptr, referenceCaps(2)},
     {EngineId::CallThreaded, "call-threaded", nullptr,
      [] {
        EngineCaps C = referenceCaps(1);
        C.Reentrant = false; // VM registers live in static storage
        return C;
-     }(),
-     runCallThreadedRow},
-    {EngineId::ThreadedTos, "threaded-tos", nullptr, referenceCaps(3),
-     runThreadedTosRow},
-    {EngineId::Dynamic3, "dynamic3", nullptr, cachingCaps(4), runDynamic3Row},
-    {EngineId::Model, "model", nullptr, cachingCaps(NoTierRank), runModelRow},
-    {EngineId::StaticGreedy, "static-greedy", "static", staticCaps(5),
-     runStaticRow<false>},
-    {EngineId::StaticOptimal, "static-optimal", nullptr, staticCaps(6),
-     runStaticRow<true>},
-    {EngineId::RegVm, "regvm", nullptr, staticCaps(7), runRegVmRow},
+     }()},
+    {EngineId::ThreadedTos, "threaded-tos", nullptr, referenceCaps(3)},
+    {EngineId::Dynamic3, "dynamic3", nullptr, cachingCaps(4)},
+    {EngineId::Model, "model", nullptr, cachingCaps(NoTierRank)},
+    {EngineId::StaticGreedy, "static-greedy", "static", staticCaps(5)},
+    {EngineId::StaticOptimal, "static-optimal", nullptr, staticCaps(6)},
+    {EngineId::RegVm, "regvm", nullptr, staticCaps(7)},
 };
 
 } // namespace
@@ -203,7 +94,17 @@ const char *sc::engine::engineName(EngineId E) { return engineInfo(E).Name; }
 vm::RunOutcome sc::engine::runEngine(EngineId E, const Code &Prog,
                                      ExecContext &Ctx,
                                      const RunOptions &Opts) {
-  return engineInfo(E).Run(Prog, Ctx, Opts);
+  SC_ASSERT(Ctx.Machine, "unbound ExecContext");
+  Ctx.MaxSteps = Opts.MaxSteps;
+  Ctx.Resume = Opts.Resume;
+  if (Opts.Prepared) {
+    SC_ASSERT(Opts.Prepared->Engine == E,
+              "prepared handle belongs to another engine");
+    return prepare::runPrepared(*Opts.Prepared, Ctx, Opts.Entry);
+  }
+  // No handle: prepare a temporary artifact and run it the same way.
+  return prepare::runPrepared(*prepare::prepareCode(Prog, E), Ctx,
+                              Opts.Entry);
 }
 
 std::vector<EngineId> sc::engine::promotionLadder(bool RequireReentrant) {

@@ -7,24 +7,23 @@
 ///
 /// \file
 /// The single source of truth about the project's engines: one table
-/// mapping engine name <-> EngineId <-> run/prepare entry points, with
-/// capability flags. Every consumer that used to keep its own engine
-/// list — the forth_run CLI, the differential fuzzer, the injection
-/// harness, the bench binaries, the session layer's fallback selection —
-/// iterates or queries this table instead (a test greps the tree to keep
-/// it that way).
+/// mapping engine name <-> EngineId, with capability flags. Every
+/// consumer that used to keep its own engine list — the forth_run CLI,
+/// the differential fuzzer, the injection harness, the bench binaries,
+/// the session layer's fallback selection — iterates or queries this
+/// table instead (a test greps the tree to keep it that way).
 ///
-/// The table also normalizes the entry signature: every engine runs as
+/// Every engine runs through one entry point,
 ///
 ///   runEngine(Id, Prog, Ctx, RunOptions{Entry, MaxSteps, Resume,
 ///                                       Prepared})
 ///
-/// where RunOptions folds the knobs that previously varied per engine —
-/// the step budget and resume flag (ExecContext fields the caller had to
-/// set), and the optional PreparedCode handle (a separate entry-point
-/// family). With a prepared handle the run reuses the translated stream;
-/// without one it takes the legacy single-shot path, retranslating (or
-/// re-specializing, for the static flavors) on every call.
+/// which installs the step budget and resume flag into the context and
+/// executes a prepare::PreparedCode through prepare::runPrepared. With a
+/// prepared handle the run reuses its translation; without one it
+/// prepares a temporary artifact for this run and discards it, so a
+/// caller that runs the same Code repeatedly should hold a handle (or a
+/// PrepareCache).
 ///
 /// EngineId is the canonical engine enumeration; prepare::EngineId and
 /// harness::EngineId are aliases of it.
@@ -101,8 +100,7 @@ struct RunOptions {
   uint64_t MaxSteps = UINT64_MAX;  ///< guest-step budget for this run
   bool Resume = false;             ///< re-entry: keep the entry sentinel
   /// Reuse this prepared translation (must be for the same engine and
-  /// program). Null takes the legacy single-shot path: translate or
-  /// specialize, run once, throw the translation away.
+  /// program). Null prepares a temporary one for this run.
   const prepare::PreparedCode *Prepared = nullptr;
 };
 
@@ -112,11 +110,6 @@ struct EngineInfo {
   const char *Name = nullptr;  ///< canonical CLI/report name
   const char *Alias = nullptr; ///< alternate CLI spelling, or null
   EngineCaps Caps;
-  /// Normalized entry point. Installs Opts.MaxSteps / Opts.Resume into
-  /// \p Ctx, points Ctx.Prog at \p Prog (or the prepared snapshot) for
-  /// the duration of the run, and restores it before returning.
-  vm::RunOutcome (*Run)(const vm::Code &Prog, vm::ExecContext &Ctx,
-                        const RunOptions &Opts) = nullptr;
 };
 
 /// The registry row for \p E.
@@ -131,7 +124,11 @@ const EngineInfo *findEngine(std::string_view Name);
 /// Canonical engine name (engineInfo(E).Name).
 const char *engineName(EngineId E);
 
-/// Runs \p Prog under engine \p E with the normalized options.
+/// Runs \p Prog under engine \p E with the normalized options. Installs
+/// Opts.MaxSteps / Opts.Resume into \p Ctx and runs Opts.Prepared, or a
+/// temporary prepare::prepareCode(Prog, E), through prepare::runPrepared.
+/// Ctx.Prog points at the prepared program for the duration of the run
+/// and is restored before returning.
 vm::RunOutcome runEngine(EngineId E, const vm::Code &Prog,
                          vm::ExecContext &Ctx, const RunOptions &Opts);
 

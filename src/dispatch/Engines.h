@@ -10,73 +10,56 @@
 /// form of stack caching (Section 2.3, "keeping the top of stack in a
 /// register"), each as a complete engine over the same instruction set:
 ///
-///  * runSwitchEngine      - giant switch (the paper's Fig. 2)
-///  * runThreadedEngine    - direct threading with GNU C labels-as-values
-///                           (Fig. 8)
-///  * runCallThreadedEngine- direct call threading with VM registers in
-///                           static variables (Fig. 3)
-///  * runThreadedTosEngine - direct threading + top-of-stack in a register
-///                           (Fig. 12; the "constant 1 item" scheme)
+///  * switch dispatch       - giant switch (the paper's Fig. 2)
+///  * direct threading      - GNU C labels-as-values (Fig. 8)
+///  * direct call threading - VM registers in static variables (Fig. 3)
+///  * threading + TOS       - top-of-stack in a register (Fig. 12; the
+///                            "constant 1 item" scheme)
 ///
 /// All engines execute the same verified Code against an ExecContext and
 /// must produce identical observable results; the test suite checks this
-/// differentially on every workload.
+/// differentially on every workload. Callers select an engine by
+/// engine::EngineId and run it through engine::runEngine; the entry
+/// points below are what prepare::prepareCode and prepare::runPrepared
+/// are built from.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SC_DISPATCH_ENGINES_H
 #define SC_DISPATCH_ENGINES_H
 
-#include "dispatch/EngineRegistry.h"
 #include "vm/ExecContext.h"
 
 namespace sc::dispatch {
 
-/// Identifies one of the reference engines; used by tests and benches to
-/// iterate over just the paper's four dispatch techniques. The values
-/// deliberately coincide with the first four engine::EngineId rows — the
-/// registry is the canonical enumeration; this enum survives as the
-/// reference subset.
-enum class EngineKind {
-  Switch,
-  Threaded,
-  CallThreaded,
-  ThreadedTos,
-};
+/// Switch dispatch (Fig. 2): one big switch in a loop; virtual machine
+/// registers live in locals. It dispatches straight off Ctx.Prog, so it
+/// needs no prepared stream: prepare::runPrepared calls it on the
+/// prepared snapshot, and the Forth compiler calls it on snippets it
+/// interprets at compile time.
+vm::RunOutcome runSwitchEngine(vm::ExecContext &Ctx, uint32_t Entry);
 
-/// The registry id a reference-engine kind maps to (the enum values
-/// coincide by construction; this spells the contract out).
-inline engine::EngineId engineIdOf(EngineKind K) {
-  return static_cast<engine::EngineId>(K);
-}
-
-// The single-shot entry points (runSwitchEngine & co.) moved to
-// EnginesInternal.h: they are the implementations the registry wraps,
-// not API. All external dispatching — including by EngineKind — goes
-// through engine::runEngine / engine::engineName with engineIdOf(K).
-
-/// \name Two-phase (prepare once, run many) entry points
+/// \name Prepared-stream entry points
 ///
 /// A prepared stream is the engine's [dispatch, operand] two-cell form
 /// with static branch/call operands pre-resolved to threaded offsets
-/// (vm::translateStream). The single-shot entry points (EnginesInternal.h)
-/// are thin wrappers that translate into ExecContext::StreamScratch and run; the
-/// prepare subsystem (src/prepare) translates once per (Code, engine) and
-/// reuses the stream across runs and contexts. The handler exporters fill
-/// \p Out with one dispatch cell per opcode — label addresses for the
-/// computed-goto engines, primitive function pointers for call threading —
-/// obtained from a one-time call into the engine core (the classic
-/// "run the engine in table-export mode" trick).
+/// (vm::translateStream). The prepare subsystem (src/prepare) translates
+/// once per (Code, engine) and reuses the stream across runs and
+/// contexts. The handler tables hold one dispatch cell per opcode —
+/// label addresses for the computed-goto engines, primitive function
+/// pointers for call threading — obtained from a one-time call into the
+/// engine core (the classic "run the engine in table-export mode" trick)
+/// and cached by the engine for the life of the process.
 /// @{
 
-/// Exports the direct-threading handler table.
-void threadedHandlers(vm::Cell Out[vm::NumOpcodes]);
+/// The direct-threading handler table.
+const vm::Cell *threadedHandlers();
 
-/// Exports the TOS-in-register handler table.
-void threadedTosHandlers(vm::Cell Out[vm::NumOpcodes]);
+/// The TOS-in-register handler table.
+const vm::Cell *threadedTosHandlers();
 
-/// Exports the call-threading primitive table.
-void callThreadedHandlers(vm::Cell Out[vm::NumOpcodes]);
+/// The call-threading primitive table.
+const vm::Cell *callThreadedHandlers();
 
 /// Runs a stream produced with threadedHandlers(). \p Ctx.Prog must be
 /// the program the stream was translated from.
@@ -87,8 +70,8 @@ vm::RunOutcome runThreadedPrepared(vm::ExecContext &Ctx, uint32_t Entry,
 vm::RunOutcome runThreadedTosPrepared(vm::ExecContext &Ctx, uint32_t Entry,
                                       const vm::Cell *Stream);
 
-/// Runs a stream produced with callThreadedHandlers(). Not reentrant
-/// (static VM registers), like the single-shot form.
+/// Runs a stream produced with callThreadedHandlers(). Not reentrant:
+/// the VM registers live in static storage.
 vm::RunOutcome runCallThreadedPrepared(vm::ExecContext &Ctx, uint32_t Entry,
                                        const vm::Cell *Stream);
 

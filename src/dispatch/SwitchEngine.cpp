@@ -6,7 +6,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "dispatch/Engines.h"
-#include "dispatch/EnginesInternal.h"
 #include "dispatch/SwitchEngineImpl.h"
 
 using namespace sc;

@@ -15,14 +15,12 @@
 /// The engine is split prepare/run: the core executes an already
 /// translated stream whose static branch operands are threaded offsets
 /// (taken branches do Ip = Base + T with no rescale), and exports its
-/// label table on demand so translation can happen outside the core —
-/// once per program via src/prepare, or per run through the legacy
-/// wrapper, which at least reuses the context's pooled stream buffer.
+/// label table on demand so translation happens outside the core, once
+/// per program, in src/prepare.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "dispatch/Engines.h"
-#include "dispatch/EnginesInternal.h"
 
 #include "metrics/Counters.h"
 #include "support/Assert.h"
@@ -201,8 +199,9 @@ Done:
                    Dsp, Rsp, FaultAddr, HasFaultAddr);
 }
 
-/// One-time cached copy of the label table.
-const Cell *threadedHandlerTable() {
+} // namespace
+
+const Cell *sc::dispatch::threadedHandlers() {
   static Cell Tab[NumOpcodes];
   static const bool Ready = [] {
     threadedCore(nullptr, 0, nullptr, Tab);
@@ -212,28 +211,9 @@ const Cell *threadedHandlerTable() {
   return Tab;
 }
 
-} // namespace
-
-void sc::dispatch::threadedHandlers(Cell Out[NumOpcodes]) {
-  const Cell *Tab = threadedHandlerTable();
-  for (unsigned I = 0; I < NumOpcodes; ++I)
-    Out[I] = Tab[I];
-}
-
 vm::RunOutcome sc::dispatch::runThreadedPrepared(ExecContext &Ctx,
                                                  uint32_t Entry,
                                                  const Cell *Stream) {
   SC_ASSERT(Ctx.Prog && Ctx.Machine, "unbound ExecContext");
   return threadedCore(&Ctx, Entry, Stream, nullptr);
-}
-
-vm::RunOutcome sc::dispatch::runThreadedEngine(ExecContext &Ctx,
-                                               uint32_t Entry) {
-  SC_ASSERT(Ctx.Prog && Ctx.Machine, "unbound ExecContext");
-  const UCell CodeSize = Ctx.Prog->Insts.size();
-  SC_ASSERT(Entry < CodeSize, "entry out of range");
-  if (Ctx.StreamScratch.size() < 2 * CodeSize)
-    Ctx.StreamScratch.resize(2 * CodeSize);
-  translateStream(*Ctx.Prog, threadedHandlerTable(), Ctx.StreamScratch.data());
-  return threadedCore(&Ctx, Entry, Ctx.StreamScratch.data(), nullptr);
 }

@@ -26,7 +26,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "dispatch/Engines.h"
-#include "dispatch/EnginesInternal.h"
 
 #include "metrics/Counters.h"
 #include "support/Assert.h"
@@ -230,8 +229,9 @@ Done:
                    Ctx.DsDepth, Rsp, FaultAddr, HasFaultAddr);
 }
 
-/// One-time cached copy of the label table.
-const Cell *threadedTosHandlerTable() {
+} // namespace
+
+const Cell *sc::dispatch::threadedTosHandlers() {
   static Cell Tab[NumOpcodes];
   static const bool Ready = [] {
     threadedTosCore(nullptr, 0, nullptr, Tab);
@@ -241,29 +241,9 @@ const Cell *threadedTosHandlerTable() {
   return Tab;
 }
 
-} // namespace
-
-void sc::dispatch::threadedTosHandlers(Cell Out[NumOpcodes]) {
-  const Cell *Tab = threadedTosHandlerTable();
-  for (unsigned I = 0; I < NumOpcodes; ++I)
-    Out[I] = Tab[I];
-}
-
 vm::RunOutcome sc::dispatch::runThreadedTosPrepared(ExecContext &Ctx,
                                                     uint32_t Entry,
                                                     const Cell *Stream) {
   SC_ASSERT(Ctx.Prog && Ctx.Machine, "unbound ExecContext");
   return threadedTosCore(&Ctx, Entry, Stream, nullptr);
-}
-
-vm::RunOutcome sc::dispatch::runThreadedTosEngine(ExecContext &Ctx,
-                                                  uint32_t Entry) {
-  SC_ASSERT(Ctx.Prog && Ctx.Machine, "unbound ExecContext");
-  const UCell CodeSize = Ctx.Prog->Insts.size();
-  SC_ASSERT(Entry < CodeSize, "entry out of range");
-  if (Ctx.StreamScratch.size() < 2 * CodeSize)
-    Ctx.StreamScratch.resize(2 * CodeSize);
-  translateStream(*Ctx.Prog, threadedTosHandlerTable(),
-                  Ctx.StreamScratch.data());
-  return threadedTosCore(&Ctx, Entry, Ctx.StreamScratch.data(), nullptr);
 }

@@ -836,16 +836,3 @@ Done:
                    FaultPc < CodeSize ? Prog.Insts[FaultPc].Op : Opcode::Halt,
                    Dsp, Rsp, FaultAddr, HasFaultAddr);
 }
-
-vm::RunOutcome sc::dynamic::runDynamic3Engine(ExecContext &Ctx,
-                                              uint32_t Entry) {
-  SC_ASSERT(Ctx.Prog && Ctx.Machine, "unbound ExecContext");
-  const UCell CodeSize = Ctx.Prog->Insts.size();
-  SC_ASSERT(Entry < CodeSize, "entry out of range");
-  // Threaded code for table-lookup dispatch: [opcode index, operand],
-  // into the context's pooled stream buffer.
-  if (Ctx.StreamScratch.size() < 2 * CodeSize)
-    Ctx.StreamScratch.resize(2 * CodeSize);
-  translateStream(*Ctx.Prog, nullptr, Ctx.StreamScratch.data());
-  return runDynamic3Prepared(Ctx, Entry, Ctx.StreamScratch.data());
-}

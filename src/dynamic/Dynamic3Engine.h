@@ -24,18 +24,14 @@
 
 namespace sc::dynamic {
 
-/// Runs \p Ctx.Prog from \p Entry on the 3-state dynamically cached
-/// computed-goto engine. Observably equivalent to the reference engines.
-/// Translates per run (into the context's pooled stream buffer); use the
-/// prepared form below to amortize translation across runs.
-vm::RunOutcome runDynamic3Engine(vm::ExecContext &Ctx, uint32_t Entry);
-
-/// Runs a prepared stream: [opcode index, operand] per instruction with
-/// static branch operands pre-scaled to threaded offsets
-/// (vm::translateStream with null handlers). This engine dispatches by
-/// opcode through per-state tables, so the stream carries no addresses
-/// and one translation serves every ExecContext. \p Ctx.Prog must be the
-/// program the stream was translated from.
+/// Runs a prepared stream on the 3-state dynamically cached computed-goto
+/// engine, observably equivalent to the reference engines. The stream is
+/// [opcode index, operand] per instruction with static branch operands
+/// pre-scaled to threaded offsets (vm::translateStream with null
+/// handlers). This engine dispatches by opcode through per-state tables,
+/// so the stream carries no addresses and one translation serves every
+/// ExecContext. \p Ctx.Prog must be the program the stream was
+/// translated from.
 vm::RunOutcome runDynamic3Prepared(vm::ExecContext &Ctx, uint32_t Entry,
                                    const vm::Cell *Stream);
 

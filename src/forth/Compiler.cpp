@@ -8,7 +8,6 @@
 #include "forth/Compiler.h"
 
 #include "dispatch/Engines.h"
-#include "dispatch/EnginesInternal.h"
 #include "support/Assert.h"
 
 using namespace sc;

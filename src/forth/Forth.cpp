@@ -21,35 +21,32 @@ uint32_t System::entryOf(const std::string &Name) const {
   return W->Entry;
 }
 
-RunReport System::runIsolated(const std::string &Name,
-                              dispatch::EngineKind K,
+RunReport System::runIsolated(const std::string &Name, engine::EngineId E,
                               uint64_t MaxSteps) const {
   const Word *W = Prog.findWord(Name);
   SC_ASSERT(W, "word not found");
   Vm Copy = Machine; // isolate data space and output
   Copy.resetOutput();
   ExecContext Ctx(Prog, Copy);
-  Ctx.MaxSteps = MaxSteps;
   engine::RunOptions Opts;
   Opts.Entry = W->Entry;
   Opts.MaxSteps = MaxSteps;
   RunReport R;
-  R.Outcome = engine::runEngine(dispatch::engineIdOf(K), Prog, Ctx, Opts);
+  R.Outcome = engine::runEngine(E, Prog, Ctx, Opts);
   R.Output = Copy.Out;
   R.DS.assign(Ctx.DS.begin(), Ctx.DS.begin() + Ctx.DsDepth);
   return R;
 }
 
-RunOutcome System::runInPlace(const std::string &Name, dispatch::EngineKind K,
+RunOutcome System::runInPlace(const std::string &Name, engine::EngineId E,
                               uint64_t MaxSteps) {
   const Word *W = Prog.findWord(Name);
   SC_ASSERT(W, "word not found");
   ExecContext Ctx(Prog, Machine);
-  Ctx.MaxSteps = MaxSteps;
   engine::RunOptions Opts;
   Opts.Entry = W->Entry;
   Opts.MaxSteps = MaxSteps;
-  return engine::runEngine(dispatch::engineIdOf(K), Prog, Ctx, Opts);
+  return engine::runEngine(E, Prog, Ctx, Opts);
 }
 
 std::unique_ptr<System> sc::forth::loadOrDie(std::string_view Src) {

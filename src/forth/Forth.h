@@ -17,7 +17,7 @@
 #ifndef SC_FORTH_FORTH_H
 #define SC_FORTH_FORTH_H
 
-#include "dispatch/Engines.h"
+#include "dispatch/EngineRegistry.h"
 #include "forth/Compiler.h"
 #include "vm/Code.h"
 #include "vm/ExecContext.h"
@@ -59,13 +59,13 @@ public:
   /// Entry index of word \p Name; asserts that the word exists.
   uint32_t entryOf(const std::string &Name) const;
 
-  /// Runs word \p Name with engine \p K against a *copy* of the machine
+  /// Runs word \p Name with engine \p E against a *copy* of the machine
   /// state (data space, output); the System itself is unchanged.
-  RunReport runIsolated(const std::string &Name, dispatch::EngineKind K,
+  RunReport runIsolated(const std::string &Name, engine::EngineId E,
                         uint64_t MaxSteps = UINT64_MAX) const;
 
   /// Runs word \p Name in place, mutating this System's machine state.
-  vm::RunOutcome runInPlace(const std::string &Name, dispatch::EngineKind K,
+  vm::RunOutcome runInPlace(const std::string &Name, engine::EngineId E,
                             uint64_t MaxSteps = UINT64_MAX);
 };
 

@@ -8,7 +8,6 @@
 #include "prepare/Prepare.h"
 
 #include "dispatch/Engines.h"
-#include "dispatch/EnginesInternal.h"
 #include "dynamic/Dynamic3Engine.h"
 #include "dynamic/ModelInterpreter.h"
 #include "regvm/RegVm.h"
@@ -31,60 +30,10 @@ uint32_t PreparedCode::entryOf(const std::string &Name) const {
 
 namespace {
 
-/// One-time per-engine handler tables, fetched through the engines'
-/// label/primitive exporters. Dynamic3 needs none (opcode-index stream).
-const Cell *handlerTableFor(EngineId E) {
-  switch (E) {
-  case EngineId::Threaded: {
-    static Cell Tab[NumOpcodes];
-    static const bool Ready = [] {
-      dispatch::threadedHandlers(Tab);
-      return true;
-    }();
-    (void)Ready;
-    return Tab;
-  }
-  case EngineId::ThreadedTos: {
-    static Cell Tab[NumOpcodes];
-    static const bool Ready = [] {
-      dispatch::threadedTosHandlers(Tab);
-      return true;
-    }();
-    (void)Ready;
-    return Tab;
-  }
-  case EngineId::CallThreaded: {
-    static Cell Tab[NumOpcodes];
-    static const bool Ready = [] {
-      dispatch::callThreadedHandlers(Tab);
-      return true;
-    }();
-    (void)Ready;
-    return Tab;
-  }
-  default:
-    return nullptr;
-  }
-}
-
-const Cell *staticHandlerTable() {
-  static Cell Tab[staticcache::NumHandlers];
-  static const bool Ready = [] {
-    staticcache::staticHandlerCells(Tab);
-    return true;
-  }();
-  (void)Ready;
-  return Tab;
-}
-
-const Cell *regHandlerTable() {
-  static Cell Tab[regvm::NumRegOps];
-  static const bool Ready = [] {
-    regvm::regHandlerCells(Tab);
-    return true;
-  }();
-  (void)Ready;
-  return Tab;
+/// Fills PC.Stream with the two-cell translation of its snapshot.
+void translateInto(PreparedCode &PC, const Cell *Handlers) {
+  PC.Stream.resize(2 * static_cast<size_t>(PC.program().size()));
+  translateStream(PC.program(), Handlers, PC.Stream.data());
 }
 
 } // namespace
@@ -113,11 +62,17 @@ sc::prepare::prepareCode(const Code &Prog, EngineId Engine,
   case EngineId::Model:
     break; // dispatch on the snapshot directly; nothing to translate
   case EngineId::Threaded:
+    translateInto(*PC, dispatch::threadedHandlers());
+    break;
   case EngineId::CallThreaded:
+    translateInto(*PC, dispatch::callThreadedHandlers());
+    break;
   case EngineId::ThreadedTos:
+    translateInto(*PC, dispatch::threadedTosHandlers());
+    break;
   case EngineId::Dynamic3:
-    PC->Stream.resize(2 * static_cast<size_t>(Snap.size()));
-    translateStream(Snap, handlerTableFor(Engine), PC->Stream.data());
+    // Dispatches by opcode index: the stream carries no handlers.
+    translateInto(*PC, nullptr);
     break;
   case EngineId::StaticGreedy:
   case EngineId::StaticOptimal: {
@@ -126,7 +81,7 @@ sc::prepare::prepareCode(const Code &Prog, EngineId Engine,
     auto Spec = std::make_shared<const staticcache::SpecProgram>(
         staticcache::compileStatic(Snap, SO));
     PC->Stream.resize(2 * Spec->Insts.size());
-    staticcache::translateSpecStream(*Spec, staticHandlerTable(),
+    staticcache::translateSpecStream(*Spec, staticcache::staticHandlerCells(),
                                      PC->Stream.data());
     PC->Spec = std::move(Spec);
     break;
@@ -135,7 +90,8 @@ sc::prepare::prepareCode(const Code &Prog, EngineId Engine,
     auto Reg = std::make_shared<const regvm::RegProgram>(
         regvm::compileRegProgram(Snap));
     PC->Stream.resize(4 * Reg->Insts.size());
-    regvm::translateRegStream(*Reg, regHandlerTable(), PC->Stream.data());
+    regvm::translateRegStream(*Reg, regvm::regHandlerCells(),
+                              PC->Stream.data());
     PC->Reg = std::move(Reg);
     break;
   }

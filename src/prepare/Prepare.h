@@ -7,13 +7,14 @@
 ///
 /// \file
 /// The paper's engines assume threaded code is produced once and executed
-/// many times; the legacy single-shot entry points instead re-translated
-/// on every run. This subsystem splits the two phases: prepareCode()
+/// many times. This subsystem splits the two phases: prepareCode()
 /// translates a Code into an immutable PreparedCode for one engine flavor
 /// — handler addresses resolved through the engine's one-time label-table
 /// export, static branch operands pre-scaled to threaded offsets, and
 /// (optionally) superinstruction fusion baked in — and runPrepared()
-/// executes it against any ExecContext, arbitrarily many times.
+/// executes it against any ExecContext, arbitrarily many times. It is the
+/// only way into the engines: engine::runEngine runs a caller's handle,
+/// or a temporary one it prepares for that single run.
 ///
 /// A PreparedCode snapshots the program it was translated from, so later
 /// mutation of the source Code cannot desynchronize stream and program;
@@ -45,7 +46,6 @@ namespace sc::prepare {
 using EngineId = engine::EngineId;
 inline constexpr unsigned NumEngineIds = engine::NumEngineIds;
 
-/// Human-readable engine-flavor name.
 /// Knobs for the prepare pass.
 struct PrepareOptions {
   /// Run superinstruction fusion (src/superinst) over the program before

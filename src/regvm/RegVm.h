@@ -220,9 +220,9 @@ inline bool isRegEntry(const RegProgram &RP, uint64_t I) {
 /// itself never executes anything.
 RegProgram compileRegProgram(const vm::Code &Prog);
 
-/// Exports the engine's handler label table (one-time; same pattern as
+/// The engine's handler label table (one-time; same pattern as
 /// staticHandlerCells).
-void regHandlerCells(vm::Cell Out[NumRegOps]);
+const vm::Cell *regHandlerCells();
 
 /// Renders \p RP into a threaded stream of 4 cells per instruction:
 /// [handler, W1, W2, W3], with branch-like W1 pre-scaled by 4. \p Out
@@ -235,11 +235,6 @@ void translateRegStream(const RegProgram &RP, const vm::Cell *Handlers,
 /// block leader (OrigToReg[OrigEntry] != InvalidReg).
 vm::RunOutcome runRegPrepared(const RegProgram &RP, vm::ExecContext &Ctx,
                               uint32_t OrigEntry, const vm::Cell *Stream);
-
-/// Legacy single-shot entry: translates into the context's pooled
-/// scratch stream and runs.
-vm::RunOutcome runRegEngine(const RegProgram &RP, vm::ExecContext &Ctx,
-                            uint32_t OrigEntry);
 
 /// Human-readable dump of the register IR (one instruction per line,
 /// with entry markers, operand slots and flush plans decoded).

@@ -504,8 +504,9 @@ Done:
                    Dsp, Rsp, FaultAddr, HasFaultAddr);
 }
 
-/// One-time cached copy of the handler label table.
-const Cell *regHandlerTable() {
+} // namespace
+
+const Cell *sc::regvm::regHandlerCells() {
   static Cell Tab[NumRegOps];
   static const bool Ready = [] {
     regCore(nullptr, nullptr, 0, nullptr, Tab);
@@ -513,14 +514,6 @@ const Cell *regHandlerTable() {
   }();
   (void)Ready;
   return Tab;
-}
-
-} // namespace
-
-void sc::regvm::regHandlerCells(Cell Out[NumRegOps]) {
-  const Cell *Tab = regHandlerTable();
-  for (unsigned I = 0; I < NumRegOps; ++I)
-    Out[I] = Tab[I];
 }
 
 void sc::regvm::translateRegStream(const RegProgram &RP, const Cell *Handlers,
@@ -541,13 +534,4 @@ vm::RunOutcome sc::regvm::runRegPrepared(const RegProgram &RP,
                                          ExecContext &Ctx, uint32_t OrigEntry,
                                          const Cell *Stream) {
   return regCore(&RP, &Ctx, OrigEntry, Stream, nullptr);
-}
-
-vm::RunOutcome sc::regvm::runRegEngine(const RegProgram &RP, ExecContext &Ctx,
-                                       uint32_t OrigEntry) {
-  const size_t N = RP.Insts.size();
-  if (Ctx.StreamScratch.size() < 4 * N)
-    Ctx.StreamScratch.resize(4 * N);
-  translateRegStream(RP, regHandlerTable(), Ctx.StreamScratch.data());
-  return regCore(&RP, &Ctx, OrigEntry, Ctx.StreamScratch.data(), nullptr);
 }

@@ -109,25 +109,6 @@ public:
   bool cancel(const JobTicket &T, Frame &Resp);
   bool stats(Frame &Resp);
 
-  /// \deprecated One-PR raw-pair aliases of the JobTicket surface (the
-  /// PR 9 spellings). Deleted next PR.
-  [[deprecated("use the JobTicket overload")]] bool
-  submit(const std::string &Tenant, uint64_t Token, const std::string &Source,
-         const std::string &Word, uint8_t Engine, Frame &Resp,
-         uint64_t FuelSteps = UINT64_MAX, uint64_t OpDeadlineNs = 0) {
-    return submit(JobTicket(Tenant, Token), Source, Word, Engine, Resp,
-                  FuelSteps, OpDeadlineNs);
-  }
-  [[deprecated("use the JobTicket overload")]] bool
-  awaitResult(const std::string &Tenant, uint64_t Token, Frame &Resp,
-              uint64_t OpDeadlineNs = 0) {
-    return awaitResult(JobTicket(Tenant, Token), Resp, OpDeadlineNs);
-  }
-  [[deprecated("use the JobTicket overload")]] bool
-  cancel(const std::string &Tenant, uint64_t Token, Frame &Resp) {
-    return cancel(JobTicket(Tenant, Token), Resp);
-  }
-
   /// Sends a prepared MigrateOffer frame (from ServiceFrontEnd::
   /// extractForMigration). True only when the peer adopted the job
   /// (MigrateAccept with Accepted=1); \p Resp holds the reply either

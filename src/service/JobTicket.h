@@ -74,13 +74,6 @@ struct JobTicket {
   std::string str() const { return Tenant + "#" + std::to_string(Token); }
 };
 
-/// \deprecated One-PR alias for the raw pair JobTicket replaced. New code
-/// spells it JobTicket; this name exists only so out-of-tree callers of
-/// the PR 9 surface get a named migration target, and it is deleted next
-/// PR.
-using TenantTokenPair [[deprecated("use service::JobTicket")]] =
-    std::pair<std::string, uint64_t>;
-
 } // namespace sc::service
 
 template <> struct std::hash<sc::service::JobTicket> {

@@ -414,8 +414,13 @@ Frame ServiceFrontEnd::handle(const Frame &Req) {
     return pollReq(Req);
   case FrameType::CancelReq:
     return cancelReq(Req);
-  case FrameType::StatsReq:
-    return statsReq(Req);
+  case FrameType::StatsReq: {
+    Frame F;
+    F.Type = FrameType::StatsReply;
+    F.RequestId = Req.RequestId;
+    F.StatsJson = statsDocument().dump();
+    return F;
+  }
   case FrameType::MigrateOffer:
     return migrateOfferReq(Req);
   case FrameType::MigrateCommit:
@@ -769,10 +774,7 @@ Frame ServiceFrontEnd::migrateCommitReq(const Frame &Req) {
   return F;
 }
 
-Frame ServiceFrontEnd::statsReq(const Frame &Req) {
-  Frame F;
-  F.Type = FrameType::StatsReply;
-  F.RequestId = Req.RequestId;
+metrics::Json ServiceFrontEnd::statsDocument() const {
   metrics::Json O = metrics::Json::object();
   metrics::Json Svc = metrics::Json::object();
   Svc.set("submitted", metrics::Json::number(Stats.Submitted));
@@ -806,8 +808,7 @@ Frame ServiceFrontEnd::statsReq(const Frame &Req) {
     Sh.push(std::move(J));
   }
   O.set("shards", std::move(Sh));
-  F.StatsJson = O.dump();
-  return F;
+  return O;
 }
 
 ServiceStats ServiceFrontEnd::statsSnapshot() const {
@@ -822,14 +823,8 @@ metrics::Json ServiceFrontEnd::statsJson() const {
           metrics::Json::string(serviceConfigErrorName(ConfigErr)));
     return O;
   }
-  // statsReq builds the document; reuse it through the public path.
-  Frame Req;
-  Req.Type = FrameType::StatsReq;
-  Frame F = const_cast<ServiceFrontEnd *>(this)->handle(Req);
-  metrics::Json O;
-  const bool Ok = metrics::Json::parse(F.StatsJson, O, nullptr);
-  SC_ASSERT(Ok, "the service's own stats document must parse");
-  return O;
+  std::lock_guard<std::mutex> Lock(Mu);
+  return statsDocument();
 }
 
 //===----------------------------------------------------------------------===//

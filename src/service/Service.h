@@ -246,9 +246,11 @@ private:
   Frame submitReq(const Frame &Req);
   Frame pollReq(const Frame &Req);
   Frame cancelReq(const Frame &Req);
-  Frame statsReq(const Frame &Req);
   Frame migrateOfferReq(const Frame &Req);
   Frame migrateCommitReq(const Frame &Req);
+
+  /// The stats dashboard document StatsReply carries; Mu held.
+  metrics::Json statsDocument() const;
 
   Frame errorFrame(const Frame &Req, ServiceError E, std::string Detail);
   Frame rejectFrame(const Frame &Req, RejectCode Code);

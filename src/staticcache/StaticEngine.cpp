@@ -1319,8 +1319,9 @@ Done:
                    Dsp, Rsp, FaultAddr, HasFaultAddr);
 }
 
-/// One-time cached copy of the handler label table.
-const Cell *staticHandlerTable() {
+} // namespace
+
+const Cell *sc::staticcache::staticHandlerCells() {
   static Cell Tab[NumHandlers];
   static const bool Ready = [] {
     staticCore(nullptr, nullptr, 0, nullptr, Tab);
@@ -1328,14 +1329,6 @@ const Cell *staticHandlerTable() {
   }();
   (void)Ready;
   return Tab;
-}
-
-} // namespace
-
-void sc::staticcache::staticHandlerCells(Cell Out[NumHandlers]) {
-  const Cell *Tab = staticHandlerTable();
-  for (unsigned I = 0; I < NumHandlers; ++I)
-    Out[I] = Tab[I];
 }
 
 void sc::staticcache::translateSpecStream(const SpecProgram &SP,
@@ -1361,9 +1354,7 @@ vm::RunOutcome sc::staticcache::runStaticPrepared(const SpecProgram &SP,
 vm::RunOutcome sc::staticcache::runStaticEngine(const SpecProgram &SP,
                                                 ExecContext &Ctx,
                                                 uint32_t OrigEntry) {
-  const UCell SpecSize = SP.Insts.size();
-  if (Ctx.StreamScratch.size() < 2 * SpecSize)
-    Ctx.StreamScratch.resize(2 * SpecSize);
-  translateSpecStream(SP, staticHandlerTable(), Ctx.StreamScratch.data());
-  return staticCore(&SP, &Ctx, OrigEntry, Ctx.StreamScratch.data(), nullptr);
+  std::vector<Cell> Stream(2 * SP.Insts.size());
+  translateSpecStream(SP, staticHandlerCells(), Stream.data());
+  return staticCore(&SP, &Ctx, OrigEntry, Stream.data(), nullptr);
 }

@@ -23,9 +23,10 @@ namespace sc::staticcache {
 
 /// Runs specialized program \p SP against \p Ctx, starting at the
 /// *original* instruction index \p OrigEntry (must be a basic-block
-/// leader, e.g. a word entry). Translates per run (into the context's
-/// pooled stream buffer); use the prepared form below to amortize
-/// translation across runs.
+/// leader, e.g. a word entry). Translates \p SP into a stream for this
+/// run only. This is the way to run a SpecProgram compiled with
+/// non-default StaticOptions; the registry's static flavors run through
+/// engine::runEngine like every other engine.
 vm::RunOutcome runStaticEngine(const SpecProgram &SP, vm::ExecContext &Ctx,
                                uint32_t OrigEntry);
 
@@ -37,10 +38,9 @@ inline bool specIsBranchLike(unsigned Handler) {
          vm::isBranchLike(static_cast<vm::Opcode>(Handler % vm::NumOpcodes));
 }
 
-/// Exports the specialized engine's handler label table (one dispatch
-/// cell per handler index), obtained from a one-time call into the
-/// engine core.
-void staticHandlerCells(vm::Cell Out[NumHandlers]);
+/// The specialized engine's handler label table (one dispatch cell per
+/// handler index), obtained from a one-time call into the engine core.
+const vm::Cell *staticHandlerCells();
 
 /// Translates \p SP into a prepared two-cell stream [handler, operand]
 /// with branch-target operands pre-scaled to threaded offsets. \p Out

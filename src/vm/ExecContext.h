@@ -83,13 +83,11 @@ struct ExecContext {
   /// has SC_STATS. Never touched otherwise (zero-cost when off).
   metrics::Counters *Stats = nullptr;
 
-  /// Pooled scratch buffers, owned by the context so repeated runs through
-  /// the legacy single-shot engine entry points reuse storage instead of
-  /// heap-allocating per run. StreamScratch holds a translated threaded
-  /// stream; TosScratch holds the TOS engine's shadow stack buffer;
-  /// RegScratch holds the register-VM's virtual register file plus flush
-  /// scratch. All grow on demand and are never shrunk.
-  std::vector<Cell> StreamScratch;
+  /// Pooled scratch buffers, owned by the context so repeated runs reuse
+  /// storage instead of heap-allocating per run. TosScratch holds the TOS
+  /// engine's shadow stack buffer; RegScratch holds the register-VM's
+  /// virtual register file plus flush scratch. Both grow on demand and
+  /// are never shrunk.
   std::vector<Cell> TosScratch;
   std::vector<Cell> RegScratch;
 

@@ -17,7 +17,7 @@
 ///
 /// A process-wide translation counter lives here too, so benches and CI
 /// can prove that a warm (cached) run performs zero translations while
-/// the legacy translate-every-run entry points perform one per run.
+/// a run without a prepared handle performs one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,8 +31,8 @@
 namespace sc::vm {
 
 /// Process-wide count of Code/SpecProgram -> stream translations, bumped
-/// by every engine's translation step (legacy per-run and prepare-once
-/// alike). Always maintained — it is one relaxed add per *translation*,
+/// by every engine's translation step (a temporary per-run prepare and a
+/// held one alike). Always maintained — it is one relaxed add per *translation*,
 /// not per instruction, so it costs nothing on the execution hot path.
 inline std::atomic<uint64_t> &streamTranslationCounter() {
   static std::atomic<uint64_t> Counter{0};

@@ -15,7 +15,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "dynamic/Dynamic3Engine.h"
+#include "TestSupport.h"
+
 #include "dynamic/ModelInterpreter.h"
 #include "forth/Forth.h"
 #include "trace/Capture.h"
@@ -72,7 +73,7 @@ TEST_P(ModelPolicyTest, MatchesReferenceOnMixedProgram) {
       ": step dup dup * acc +! 1+ ; "
       ": main 0 acc ! 1 50 0 do step loop drop acc @ "
       "  1 2 3 4 5 rot tuck over nip + + + + + + ;");
-  auto Ref = Sys->runIsolated("main", dispatch::EngineKind::Switch);
+  auto Ref = Sys->runIsolated("main", engine::EngineId::Switch);
   ModelConfig Cfg;
   Cfg.Policy = {GetParam().Regs, GetParam().Followup};
   Cfg.VerifyShadow = true;
@@ -164,7 +165,8 @@ TEST(Dynamic3, WorkloadChecksums) {
     Vm Copy = Sys->Machine;
     Copy.resetOutput();
     ExecContext Ctx(Sys->Prog, Copy);
-    RunOutcome O = runDynamic3Engine(Ctx, Sys->entryOf("main"));
+    RunOutcome O = tests::runFrom(engine::EngineId::Dynamic3, Ctx,
+                                  Sys->entryOf("main"));
     EXPECT_EQ(O.Status, RunStatus::Halted) << W[I].Name;
     EXPECT_EQ(Copy.Out, W[I].Expected) << W[I].Name;
     EXPECT_EQ(Ctx.DsDepth, 0u) << W[I].Name;
@@ -188,11 +190,12 @@ TEST(Dynamic3, AgreesWithReferenceStepForStep) {
   for (const char *Src : Programs) {
     SCOPED_TRACE(Src);
     auto Sys = forth::loadOrDie(Src);
-    auto Ref = Sys->runIsolated("main", dispatch::EngineKind::Switch);
+    auto Ref = Sys->runIsolated("main", engine::EngineId::Switch);
     Vm Copy = Sys->Machine;
     Copy.resetOutput();
     ExecContext Ctx(Sys->Prog, Copy);
-    RunOutcome O = runDynamic3Engine(Ctx, Sys->entryOf("main"));
+    RunOutcome O = tests::runFrom(engine::EngineId::Dynamic3, Ctx,
+                                  Sys->entryOf("main"));
     EXPECT_EQ(O.Status, Ref.Outcome.Status);
     EXPECT_EQ(O.Steps, Ref.Outcome.Steps);
     std::vector<Cell> DS(Ctx.DS.begin(), Ctx.DS.begin() + Ctx.DsDepth);
@@ -206,7 +209,8 @@ TEST(Dynamic3, TrapsWriteBackCache) {
   auto Sys = forth::loadOrDie(": main 7 8 0 @ ;"); // bad fetch at TOS
   Vm Copy = Sys->Machine;
   ExecContext Ctx(Sys->Prog, Copy);
-  RunOutcome O = runDynamic3Engine(Ctx, Sys->entryOf("main"));
+  RunOutcome O = tests::runFrom(engine::EngineId::Dynamic3, Ctx,
+                                Sys->entryOf("main"));
   EXPECT_EQ(O.Status, RunStatus::BadMemAccess);
   // 7 and 8 were pushed; the 0 was consumed by the faulting @.
   ASSERT_EQ(Ctx.DsDepth, 2u);
@@ -219,10 +223,11 @@ TEST(Dynamic3, RareOpsGoThroughSpillShims) {
   // a shim spill and must still compute correctly.
   auto Sys = forth::loadOrDie(
       ": main 1 2 3 rot 2dup + + + 0 10 0 do 1+ 2 +loop + ;");
-  auto Ref = Sys->runIsolated("main", dispatch::EngineKind::Switch);
+  auto Ref = Sys->runIsolated("main", engine::EngineId::Switch);
   Vm Copy = Sys->Machine;
   ExecContext Ctx(Sys->Prog, Copy);
-  RunOutcome O = runDynamic3Engine(Ctx, Sys->entryOf("main"));
+  RunOutcome O = tests::runFrom(engine::EngineId::Dynamic3, Ctx,
+                                Sys->entryOf("main"));
   EXPECT_EQ(O.Status, RunStatus::Halted);
   std::vector<Cell> DS(Ctx.DS.begin(), Ctx.DS.begin() + Ctx.DsDepth);
   EXPECT_EQ(DS, Ref.DS);
@@ -234,7 +239,8 @@ TEST(Dynamic3, StepLimitCountsLikeReference) {
   Vm Copy = Sys->Machine;
   ExecContext Ctx(Sys->Prog, Copy);
   Ctx.MaxSteps = 777;
-  RunOutcome O = runDynamic3Engine(Ctx, Sys->entryOf("main"));
+  RunOutcome O = tests::runFrom(engine::EngineId::Dynamic3, Ctx,
+                                Sys->entryOf("main"));
   EXPECT_EQ(O.Status, RunStatus::StepLimit);
   EXPECT_EQ(O.Steps, 777u);
 }
@@ -243,7 +249,8 @@ TEST(Dynamic3, UnderflowTrap) {
   auto Sys = forth::loadOrDie(": main + ;");
   Vm Copy = Sys->Machine;
   ExecContext Ctx(Sys->Prog, Copy);
-  RunOutcome O = runDynamic3Engine(Ctx, Sys->entryOf("main"));
+  RunOutcome O = tests::runFrom(engine::EngineId::Dynamic3, Ctx,
+                                Sys->entryOf("main"));
   EXPECT_EQ(O.Status, RunStatus::StackUnderflow);
 }
 

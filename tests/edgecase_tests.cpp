@@ -14,10 +14,11 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestSupport.h"
+
 #include "cache/Organization.h"
 #include "cache/Reconcile.h"
 #include "cache/Transition.h"
-#include "dynamic/Dynamic3Engine.h"
 #include "forth/Forth.h"
 #include "staticcache/StaticEngine.h"
 #include "staticcache/StaticSpec.h"
@@ -35,32 +36,32 @@ namespace {
 void checkEverywhere(const char *Src) {
   SCOPED_TRACE(Src);
   auto Sys = forth::loadOrDie(Src);
-  auto Ref = Sys->runIsolated("main", dispatch::EngineKind::Switch);
+  auto Ref = Sys->runIsolated("main", engine::EngineId::Switch);
 
-  for (auto K : {dispatch::EngineKind::Threaded,
-                 dispatch::EngineKind::CallThreaded,
-                 dispatch::EngineKind::ThreadedTos}) {
+  for (engine::EngineId K : tests::referenceEngines()) {
     auto R = Sys->runIsolated("main", K);
-    EXPECT_EQ(R.Outcome.Status, Ref.Outcome.Status)
-        << engine::engineName(dispatch::engineIdOf(K));
-    EXPECT_EQ(R.DS, Ref.DS) << engine::engineName(dispatch::engineIdOf(K));
+    EXPECT_EQ(R.Outcome.Status, Ref.Outcome.Status) << engine::engineName(K);
+    EXPECT_EQ(R.DS, Ref.DS) << engine::engineName(K);
   }
   {
     Vm Copy = Sys->Machine;
     ExecContext Ctx(Sys->Prog, Copy);
-    RunOutcome O = dynamic::runDynamic3Engine(Ctx, Sys->entryOf("main"));
-    EXPECT_EQ(O.Status, Ref.Outcome.Status) << "dynamic3";
+    RunOutcome O = tests::runFrom(engine::EngineId::Dynamic3, Ctx,
+                                  Sys->entryOf("main"));
+    const char *Name = engine::engineName(engine::EngineId::Dynamic3);
+    EXPECT_EQ(O.Status, Ref.Outcome.Status) << Name;
     std::vector<Cell> DS(Ctx.DS.begin(), Ctx.DS.begin() + Ctx.DsDepth);
-    EXPECT_EQ(DS, Ref.DS) << "dynamic3";
+    EXPECT_EQ(DS, Ref.DS) << Name;
   }
   {
     staticcache::SpecProgram SP = staticcache::compileStatic(Sys->Prog);
     Vm Copy = Sys->Machine;
     ExecContext Ctx(Sys->Prog, Copy);
     RunOutcome O = staticcache::runStaticEngine(SP, Ctx, Sys->entryOf("main"));
-    EXPECT_EQ(O.Status, Ref.Outcome.Status) << "static";
+    const char *Name = engine::engineName(engine::EngineId::StaticGreedy);
+    EXPECT_EQ(O.Status, Ref.Outcome.Status) << Name;
     std::vector<Cell> DS(Ctx.DS.begin(), Ctx.DS.begin() + Ctx.DsDepth);
-    EXPECT_EQ(DS, Ref.DS) << "static";
+    EXPECT_EQ(DS, Ref.DS) << Name;
   }
 }
 
@@ -112,7 +113,7 @@ TEST(EdgeCases, EqualLimitAndIndexWrapsLikeForth) {
   // times) - the standard Forth pitfall ?DO exists for. Confirm it does
   // not terminate early, under a step budget.
   auto Sys = forth::loadOrDie(": main 0 0 0 do 1+ loop ;");
-  auto R = Sys->runIsolated("main", dispatch::EngineKind::Switch, 10000);
+  auto R = Sys->runIsolated("main", engine::EngineId::Switch, 10000);
   EXPECT_EQ(R.Outcome.Status, RunStatus::StepLimit);
 }
 
@@ -125,17 +126,16 @@ TEST(EdgeCases, DeepRecursionNearTheLimit) {
 
 TEST(EdgeCases, RStackOverflowTrapsEverywhere) {
   auto Sys = forth::loadOrDie(": forever recurse ; : main forever ;");
-  for (auto K : {dispatch::EngineKind::Switch, dispatch::EngineKind::Threaded,
-                 dispatch::EngineKind::CallThreaded,
-                 dispatch::EngineKind::ThreadedTos}) {
+  for (engine::EngineId K : tests::referenceEngines()) {
     auto R = Sys->runIsolated("main", K);
     EXPECT_EQ(R.Outcome.Status, RunStatus::RStackOverflow)
-        << engine::engineName(dispatch::engineIdOf(K));
+        << engine::engineName(K);
   }
   {
     Vm Copy = Sys->Machine;
     ExecContext Ctx(Sys->Prog, Copy);
-    EXPECT_EQ(dynamic::runDynamic3Engine(Ctx, Sys->entryOf("main")).Status,
+    EXPECT_EQ(tests::runFrom(engine::EngineId::Dynamic3, Ctx,
+                             Sys->entryOf("main")).Status,
               RunStatus::RStackOverflow);
   }
   {
@@ -154,11 +154,12 @@ TEST(EdgeCases, DataStackOverflowTraps) {
 
 TEST(EdgeCases, DataStackOverflowActuallyOverflows) {
   auto Sys = forth::loadOrDie(": main begin 1 again ;");
-  auto R = Sys->runIsolated("main", dispatch::EngineKind::Switch);
+  auto R = Sys->runIsolated("main", engine::EngineId::Switch);
   EXPECT_EQ(R.Outcome.Status, RunStatus::StackOverflow);
   Vm Copy = Sys->Machine;
   ExecContext Ctx(Sys->Prog, Copy);
-  EXPECT_EQ(dynamic::runDynamic3Engine(Ctx, Sys->entryOf("main")).Status,
+  EXPECT_EQ(tests::runFrom(engine::EngineId::Dynamic3, Ctx,
+                           Sys->entryOf("main")).Status,
             RunStatus::StackOverflow);
 }
 

@@ -16,7 +16,7 @@
 
 #include "harness/FaultInject.h"
 
-#include "dispatch/Engines.h"
+#include "dispatch/EngineRegistry.h"
 #include "forth/Forth.h"
 #include "vm/FaultDiag.h"
 

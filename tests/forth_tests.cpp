@@ -92,14 +92,14 @@ TEST(Lexer, ParseNumberRejectsGarbage) {
 
 std::vector<Cell> runWord(const char *Src, const char *Name = "main") {
   auto Sys = loadOrDie(Src);
-  RunReport R = Sys->runIsolated(Name, dispatch::EngineKind::Switch);
+  RunReport R = Sys->runIsolated(Name, engine::EngineId::Switch);
   EXPECT_EQ(R.Outcome.Status, RunStatus::Halted);
   return R.DS;
 }
 
 std::string runOutput(const char *Src, const char *Name = "main") {
   auto Sys = loadOrDie(Src);
-  RunReport R = Sys->runIsolated(Name, dispatch::EngineKind::Switch);
+  RunReport R = Sys->runIsolated(Name, engine::EngineId::Switch);
   EXPECT_EQ(R.Outcome.Status, RunStatus::Halted);
   return R.Output;
 }
@@ -332,44 +332,44 @@ TEST(CompilerErrors, TopLevelTrapReported) {
 
 TEST(RuntimeTraps, DivByZero) {
   auto Sys = loadOrDie(": main 1 0 / ;");
-  RunReport R = Sys->runIsolated("main", dispatch::EngineKind::Switch);
+  RunReport R = Sys->runIsolated("main", engine::EngineId::Switch);
   EXPECT_EQ(R.Outcome.Status, RunStatus::DivByZero);
 }
 
 TEST(RuntimeTraps, StackUnderflow) {
   auto Sys = loadOrDie(": main + ;");
-  RunReport R = Sys->runIsolated("main", dispatch::EngineKind::Switch);
+  RunReport R = Sys->runIsolated("main", engine::EngineId::Switch);
   EXPECT_EQ(R.Outcome.Status, RunStatus::StackUnderflow);
 }
 
 TEST(RuntimeTraps, BadMemAccess) {
   auto Sys = loadOrDie(": main 0 @ ;");
-  RunReport R = Sys->runIsolated("main", dispatch::EngineKind::Switch);
+  RunReport R = Sys->runIsolated("main", engine::EngineId::Switch);
   EXPECT_EQ(R.Outcome.Status, RunStatus::BadMemAccess);
 }
 
 TEST(RuntimeTraps, StepLimit) {
   auto Sys = loadOrDie(": main begin again ;");
-  RunReport R = Sys->runIsolated("main", dispatch::EngineKind::Switch, 1000);
+  RunReport R = Sys->runIsolated("main", engine::EngineId::Switch, 1000);
   EXPECT_EQ(R.Outcome.Status, RunStatus::StepLimit);
   EXPECT_EQ(R.Outcome.Steps, 1000u);
 }
 
 TEST(RuntimeTraps, CorruptReturnAddressCaught) {
   auto Sys = loadOrDie(": main 123456 >r ;");
-  RunReport R = Sys->runIsolated("main", dispatch::EngineKind::Switch);
+  RunReport R = Sys->runIsolated("main", engine::EngineId::Switch);
   EXPECT_EQ(R.Outcome.Status, RunStatus::BadMemAccess);
 }
 
 TEST(RuntimeTraps, RStackUnderflow) {
   auto Sys = loadOrDie(": main r> r> drop drop ;");
-  RunReport R = Sys->runIsolated("main", dispatch::EngineKind::Switch);
+  RunReport R = Sys->runIsolated("main", engine::EngineId::Switch);
   EXPECT_EQ(R.Outcome.Status, RunStatus::RStackUnderflow);
 }
 
 TEST(RuntimeTraps, IsolationKeepsSystemClean) {
   auto Sys = loadOrDie("variable x 1 x ! : main 99 x ! ;");
-  (void)Sys->runIsolated("main", dispatch::EngineKind::Switch);
+  (void)Sys->runIsolated("main", engine::EngineId::Switch);
   const DictEntry *E = Sys->Comp.lookup("x");
   ASSERT_NE(E, nullptr);
   EXPECT_EQ(Sys->Machine.loadCell(E->Value), 1)

@@ -141,7 +141,7 @@ TEST(OptimalCodegen, ControlFlowAgrees) {
   for (const char *Src : Programs) {
     SCOPED_TRACE(Src);
     auto Sys = forth::loadOrDie(Src);
-    auto Ref = Sys->runIsolated("main", dispatch::EngineKind::Switch);
+    auto Ref = Sys->runIsolated("main", engine::EngineId::Switch);
     SpecProgram SP = compileStatic(Sys->Prog, optimalOpts());
     Vm Copy = Sys->Machine;
     ExecContext Ctx(Sys->Prog, Copy);

@@ -7,19 +7,19 @@
 ///
 /// \file
 /// The prepare/run split must be invisible to the guest: running a
-/// PreparedCode has to produce the same outcome, stacks, output and
-/// fault as the legacy single-shot entry point of the same engine — on
-/// clean runs and on runs driven into every fault class by RunLimits.
-/// On top of that behavioural contract this suite pins the resource
-/// contracts: the PrepareCache translates once per (Code, engine) and
-/// invalidates on mutation; one PreparedCode is shareable across
-/// concurrent ExecContexts; and warm runs (both prepared and pooled
-/// legacy) perform zero heap allocations and zero stream translations.
+/// PreparedCode through a held handle has to produce the same outcome,
+/// stacks, output and fault as a handle-less engine::runEngine of the
+/// same engine (which prepares a temporary artifact) — on clean runs and
+/// on runs driven into every fault class by RunLimits. On top of that
+/// behavioural contract this suite pins the resource contracts: the
+/// PrepareCache translates once per (Code, engine) and invalidates on
+/// mutation; one PreparedCode is shareable across concurrent
+/// ExecContexts; warm prepared runs perform zero heap allocations and
+/// zero stream translations; and a handle-less run translates once.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "dispatch/Engines.h"
-#include "dynamic/Dynamic3Engine.h"
+#include "dispatch/EngineRegistry.h"
 #include "forth/Forth.h"
 #include "harness/FaultInject.h"
 #include "prepare/Prepare.h"
@@ -79,8 +79,8 @@ constexpr prepare::EngineId AllPrepareEngines[] = {
 };
 
 /// prepare::EngineId and harness::EngineId are both aliases of the
-/// registry's canonical enumeration now; the legacy single-shot engine
-/// for a prepare flavor is the flavor itself.
+/// registry's canonical enumeration; the handle-less run compared against
+/// a prepare flavor is the flavor itself.
 harness::EngineId legacyIdFor(prepare::EngineId E) { return E; }
 
 /// observeEngine's twin for the prepared path: same fresh-copy setup,
@@ -385,39 +385,30 @@ TEST(PrepareResources, WarmPreparedRunsDoNotAllocateOrTranslate) {
   }
 }
 
-TEST(PrepareResources, LegacyWrappersPoolTheirScratch) {
-  // The single-shot entry points still translate per run (that is what
-  // PrepareCache exists to amortize) but must reuse the context's pooled
-  // scratch instead of heap-allocating each time.
+TEST(PrepareResources, HandlelessRunsTranslateOnceAndRestoreProg) {
+  // Without a prepared handle, engine::runEngine prepares a temporary
+  // artifact: exactly one translation per run (none for switch, which
+  // dispatches off the program), and Ctx.Prog is put back afterwards,
+  // whatever program the context was bound to.
   auto Sys = forth::loadOrDie(SilentSrc);
+  auto Other = forth::loadOrDie(": main ;");
   uint32_t Entry = Sys->entryOf("main");
 
   for (prepare::EngineId E : AllPrepareEngines) {
-    harness::EngineId L = legacyIdFor(E);
-    if (harness::isStaticEngine(L))
-      continue; // legacy static runs take a caller-owned SpecProgram
     Vm Copy = Sys->Machine;
-    ExecContext Ctx(Sys->Prog, Copy);
-    auto RunOnce = [&] {
-      // Null Prepared handle = the legacy single-shot path: translate on
-      // the fly, into the context's pooled scratch.
+    ExecContext Ctx(Other->Prog, Copy);
+    const uint64_t Trans0 = vm::streamTranslations();
+    for (int I = 0; I < 5; ++I) {
       engine::RunOptions Opts;
       Opts.Entry = Entry;
-      return engine::runEngine(L, Sys->Prog, Ctx, Opts);
-    };
-    ASSERT_EQ(RunOnce().Status, RunStatus::Halted);
-
-    const uint64_t Allocs0 = allocCount();
-    const uint64_t Trans0 = vm::streamTranslations();
-    for (int I = 0; I < 5; ++I)
-      RunOnce();
-    EXPECT_EQ(allocCount() - Allocs0, 0u)
-        << engine::engineName(E) << ": warm legacy runs allocated";
-    if (L != harness::EngineId::Switch) {
-      EXPECT_EQ(vm::streamTranslations() - Trans0, 5u)
-          << engine::engineName(E)
-          << ": legacy wrapper should translate once per run";
+      EXPECT_EQ(engine::runEngine(E, Sys->Prog, Ctx, Opts).Status,
+                RunStatus::Halted) << engine::engineName(E);
+      EXPECT_EQ(Ctx.Prog, &Other->Prog)
+          << engine::engineName(E) << ": Ctx.Prog not restored";
     }
+    EXPECT_EQ(vm::streamTranslations() - Trans0,
+              E == prepare::EngineId::Switch ? 0u : 5u) << engine::engineName(E)
+        << ": a handle-less run should translate exactly once";
   }
 }
 

@@ -8,25 +8,23 @@
 /// \file
 /// The EngineRegistry contract: the table is complete and internally
 /// consistent, name lookup round-trips, the capability flags match what
-/// the engines actually are, and the normalized entry point is
-/// observationally equivalent across its legacy and prepared paths. The
-/// grep tests scan the source tree to keep the registry the ONLY place
-/// that spells an engine name (any hand-maintained engine list elsewhere
-/// would need a quoted name literal and fails the scan) and to reject
-/// reintroduction of the deleted deprecated forwarders
-/// (dispatch::engineName / dispatch::runEngine / prepare::engineIdName)
-/// and of the pre-JobTicket raw-pair spelling.
+/// the engines actually are, and the one entry point gives the same run
+/// with and without a prepared handle. The grep tests scan the source
+/// tree to keep the registry the ONLY place that spells an engine name
+/// (any hand-maintained engine list elsewhere would need a quoted name
+/// literal and fails the scan) and to reject reintroduction of deleted
+/// spellings: the old registry forwarders, the pre-JobTicket raw-pair
+/// alias, the second engine enumeration and the single-shot entry
+/// family that predated prepare::runPrepared.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "dispatch/EngineRegistry.h"
-#include "dispatch/Engines.h"
 #include "forth/Forth.h"
 #include "prepare/PrepareCache.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -81,7 +79,6 @@ TEST(Registry, TableIsCompleteAndConsistent) {
   for (size_t I = 0; I < N; ++I) {
     EXPECT_EQ(static_cast<size_t>(E[I].Id), I) << "rows out of order";
     ASSERT_NE(E[I].Name, nullptr);
-    ASSERT_NE(E[I].Run, nullptr);
     EXPECT_TRUE(Names.insert(E[I].Name).second)
         << "duplicate engine name " << E[I].Name;
     if (E[I].Alias) {
@@ -146,20 +143,6 @@ TEST(Registry, LegacyAndPreparedPathsAgree) {
   }
 }
 
-TEST(Registry, EngineKindRowsCoincideWithTheTable) {
-  // The reference-subset enum maps onto the first four registry rows by
-  // construction; engineIdOf spells the contract, this pins it.
-  using dispatch::EngineKind;
-  EXPECT_EQ(dispatch::engineIdOf(EngineKind::Switch),
-            engine::EngineId::Switch);
-  EXPECT_EQ(dispatch::engineIdOf(EngineKind::Threaded),
-            engine::EngineId::Threaded);
-  EXPECT_EQ(dispatch::engineIdOf(EngineKind::CallThreaded),
-            engine::EngineId::CallThreaded);
-  EXPECT_EQ(dispatch::engineIdOf(EngineKind::ThreadedTos),
-            engine::EngineId::ThreadedTos);
-}
-
 TEST(Registry, RunOptionsStepLimitAndResume) {
   std::unique_ptr<forth::System> Sys = forth::loadOrDie(ProgramSrc);
   const uint32_t Entry = Sys->entryOf("main");
@@ -220,7 +203,7 @@ TEST(Registry, NoEngineNameLiteralsOutsideTheRegistry) {
   const fs::path Registry =
       Root / "src" / "dispatch" / "EngineRegistry.cpp";
   unsigned Scanned = 0;
-  for (const char *Dir : {"src", "bench", "examples", "tools"}) {
+  for (const char *Dir : {"src", "bench", "examples", "tools", "tests"}) {
     for (const fs::directory_entry &Entry :
          fs::recursive_directory_iterator(Root / Dir)) {
       if (!Entry.is_regular_file())
@@ -231,6 +214,8 @@ TEST(Registry, NoEngineNameLiteralsOutsideTheRegistry) {
         continue;
       if (fs::equivalent(P, Registry))
         continue; // the one place engine names may be spelled
+      if (P.filename() == "registry_tests.cpp")
+        continue; // its comments quote a name to document the scan
       ++Scanned;
       std::ifstream In(P);
       ASSERT_TRUE(In.good()) << P;
@@ -255,19 +240,25 @@ TEST(Registry, DeprecatedForwardersStayDeleted) {
   const fs::path Root(SC_SOURCE_DIR);
   ASSERT_TRUE(fs::exists(Root / "src")) << "bad SC_SOURCE_DIR " << Root;
 
-  // The registry forwarders removed in the JobTicket PR, plus the
-  // pre-JobTicket raw-pair alias, must not creep back in. Each banned
-  // spelling may name files where it is still legitimate (the alias's
-  // own one-PR home).
-  struct BannedSpelling {
-    const char *Literal;
-    std::vector<std::string> AllowedFiles; ///< filename-only exemptions
-  };
-  const BannedSpelling Banned[] = {
-      {"dispatch::engineName(", {}},
-      {"dispatch::runEngine(", {}},
-      {"prepare::engineIdName(", {}},
-      {"TenantTokenPair", {"JobTicket.h"}},
+  // Deleted spellings must not creep back in: the old registry
+  // forwarders, the pre-JobTicket raw-pair alias, the reference-subset
+  // enumeration beside engine::EngineId, and the single-shot entry family
+  // (with its header and the context scratch it translated into) that
+  // engine::runEngine replaced with prepare::runPrepared.
+  const char *const Banned[] = {
+      "dispatch::engineName(",
+      "dispatch::runEngine(",
+      "prepare::engineIdName(",
+      "TenantTokenPair",
+      "EngineKind",
+      "engineIdOf",
+      "StreamScratch",
+      "EnginesInternal.h",
+      "runThreadedEngine",
+      "runThreadedTosEngine",
+      "runCallThreadedEngine",
+      "runDynamic3Engine",
+      "runRegEngine",
   };
 
   unsigned Scanned = 0;
@@ -289,13 +280,9 @@ TEST(Registry, DeprecatedForwardersStayDeleted) {
       std::stringstream Buf;
       Buf << In.rdbuf();
       const std::string Text = Buf.str();
-      for (const BannedSpelling &B : Banned) {
-        if (std::find(B.AllowedFiles.begin(), B.AllowedFiles.end(), File) !=
-            B.AllowedFiles.end())
-          continue;
-        EXPECT_EQ(Text.find(B.Literal), std::string::npos)
-            << P << " reintroduces deprecated spelling " << B.Literal;
-      }
+      for (const char *B : Banned)
+        EXPECT_EQ(Text.find(B), std::string::npos)
+            << P << " reintroduces deleted spelling " << B;
     }
   }
   EXPECT_GT(Scanned, 50u) << "scan missed the tree";

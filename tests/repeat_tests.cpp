@@ -18,12 +18,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "dynamic/Dynamic3Engine.h"
-#include "dynamic/ModelInterpreter.h"
+#include "TestSupport.h"
+
 #include "forth/Forth.h"
 #include "metrics/Counters.h"
-#include "staticcache/StaticEngine.h"
-#include "staticcache/StaticSpec.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -32,55 +30,6 @@ using namespace sc;
 using namespace sc::vm;
 
 namespace {
-
-struct EngineUnderTest {
-  const char *Name;
-  RunOutcome (*Run)(ExecContext &, uint32_t, const staticcache::SpecProgram &);
-};
-
-RunOutcome runViaRegistry(engine::EngineId Id, ExecContext &Ctx, uint32_t E) {
-  engine::RunOptions Opts;
-  Opts.Entry = E;
-  return engine::runEngine(Id, *Ctx.Prog, Ctx, Opts);
-}
-RunOutcome runSwitchE(ExecContext &Ctx, uint32_t E,
-                      const staticcache::SpecProgram &) {
-  return runViaRegistry(engine::EngineId::Switch, Ctx, E);
-}
-RunOutcome runThreadedE(ExecContext &Ctx, uint32_t E,
-                        const staticcache::SpecProgram &) {
-  return runViaRegistry(engine::EngineId::Threaded, Ctx, E);
-}
-RunOutcome runCallThreadedE(ExecContext &Ctx, uint32_t E,
-                            const staticcache::SpecProgram &) {
-  return runViaRegistry(engine::EngineId::CallThreaded, Ctx, E);
-}
-RunOutcome runTosE(ExecContext &Ctx, uint32_t E,
-                   const staticcache::SpecProgram &) {
-  return runViaRegistry(engine::EngineId::ThreadedTos, Ctx, E);
-}
-RunOutcome runDynamic3E(ExecContext &Ctx, uint32_t E,
-                        const staticcache::SpecProgram &) {
-  return dynamic::runDynamic3Engine(Ctx, E);
-}
-RunOutcome runStaticE(ExecContext &Ctx, uint32_t E,
-                      const staticcache::SpecProgram &SP) {
-  return staticcache::runStaticEngine(SP, Ctx, E);
-}
-RunOutcome runModelE(ExecContext &Ctx, uint32_t E,
-                     const staticcache::SpecProgram &) {
-  return dynamic::runModelInterpreter(Ctx, E, {}).Outcome;
-}
-
-const EngineUnderTest AllEngines[] = {
-    {"switch", runSwitchE},
-    {"threaded", runThreadedE},
-    {"call-threaded", runCallThreadedE},
-    {"threaded-tos", runTosE},
-    {"dynamic3", runDynamic3E},
-    {"static", runStaticE},
-    {"model", runModelE},
-};
 
 /// Everything observable about one run.
 struct Snapshot {
@@ -92,14 +41,16 @@ struct Snapshot {
 
 /// Runs \p E on a fresh copy of \p Sys's machine — the identical
 /// starting pattern every time it is called.
-Snapshot runOnce(const forth::System &Sys, const EngineUnderTest &E,
-                 uint32_t Entry, const staticcache::SpecProgram &SP) {
+Snapshot runOnce(const forth::System &Sys, engine::EngineId E,
+                 uint32_t Entry) {
   Snapshot S;
   Vm Copy = Sys.Machine;
   Copy.resetOutput();
   ExecContext Ctx(Sys.Prog, Copy);
   Ctx.Stats = &S.Stats;
-  S.Outcome = E.Run(Ctx, Entry, SP);
+  engine::RunOptions Opts;
+  Opts.Entry = Entry;
+  S.Outcome = engine::runEngine(E, Sys.Prog, Ctx, Opts);
   S.Output = Copy.Out;
   S.DS.assign(Ctx.DS.begin(), Ctx.DS.begin() + Ctx.DsDepth);
   return S;
@@ -116,40 +67,34 @@ void expectIdentical(const Snapshot &A, const Snapshot &B,
                               << " (counters diverged)";
 }
 
-class RepeatTest : public ::testing::TestWithParam<EngineUnderTest> {};
+class RepeatTest : public ::testing::TestWithParam<engine::EngineId> {};
 
 INSTANTIATE_TEST_SUITE_P(
-    Engines, RepeatTest, ::testing::ValuesIn(AllEngines),
-    [](const ::testing::TestParamInfo<EngineUnderTest> &Info) {
-      std::string N = Info.param.Name;
-      for (char &C : N)
-        if (C == '-')
-          C = '_';
-      return N;
-    });
+    Engines, RepeatTest,
+    ::testing::ValuesIn(tests::registryEngines()), tests::engineParamName);
 
 } // namespace
 
 TEST_P(RepeatTest, BackToBackRunsAreIdentical) {
-  const EngineUnderTest &E = GetParam();
+  const engine::EngineId E = GetParam();
+  const char *Name = engine::engineName(E);
   auto Sys = forth::loadOrDie(
       ": main 0 100 0 do i dup * + loop 1 2 3 rot swap drop + + . cr ;");
   uint32_t Entry = Sys->entryOf("main");
-  staticcache::SpecProgram SP = staticcache::compileStatic(Sys->Prog);
 
-  Snapshot First = runOnce(*Sys, E, Entry, SP);
-  ASSERT_EQ(First.Outcome.Status, RunStatus::Halted) << E.Name;
+  Snapshot First = runOnce(*Sys, E, Entry);
+  ASSERT_EQ(First.Outcome.Status, RunStatus::Halted) << Name;
   if (metrics::statsEnabled())
-    EXPECT_GT(First.Stats.totalDispatch(), 0u) << E.Name;
-  Snapshot Second = runOnce(*Sys, E, Entry, SP);
-  expectIdentical(First, Second, E.Name, "second run");
+    EXPECT_GT(First.Stats.totalDispatch(), 0u) << Name;
+  Snapshot Second = runOnce(*Sys, E, Entry);
+  expectIdentical(First, Second, Name, "second run");
 }
 
 TEST_P(RepeatTest, FaultingRunLeavesNoResidue) {
-  const EngineUnderTest &E = GetParam();
+  const engine::EngineId E = GetParam();
+  const char *Name = engine::engineName(E);
   auto Clean = forth::loadOrDie(": main 2 3 + 4 * . cr ;");
   uint32_t CleanEntry = Clean->entryOf("main");
-  staticcache::SpecProgram CleanSP = staticcache::compileStatic(Clean->Prog);
 
   // Deep into a computation, trap every way a guest program can.
   const char *Faulty[] = {
@@ -157,38 +102,37 @@ TEST_P(RepeatTest, FaultingRunLeavesNoResidue) {
       ": main 1 2 + drop drop ;" // StackUnderflow mid-expression
   };
 
-  Snapshot Before = runOnce(*Clean, E, CleanEntry, CleanSP);
-  ASSERT_EQ(Before.Outcome.Status, RunStatus::Halted) << E.Name;
+  Snapshot Before = runOnce(*Clean, E, CleanEntry);
+  ASSERT_EQ(Before.Outcome.Status, RunStatus::Halted) << Name;
 
   for (const char *Src : Faulty) {
     auto Bad = forth::loadOrDie(Src);
-    staticcache::SpecProgram BadSP = staticcache::compileStatic(Bad->Prog);
-    Snapshot Fault = runOnce(*Bad, E, Bad->entryOf("main"), BadSP);
+    Snapshot Fault = runOnce(*Bad, E, Bad->entryOf("main"));
     EXPECT_NE(Fault.Outcome.Status, RunStatus::Halted)
-        << E.Name << ": expected a trap from " << Src;
+        << Name << ": expected a trap from " << Src;
     // The faulted run must also be reproducible...
-    Snapshot FaultAgain = runOnce(*Bad, E, Bad->entryOf("main"), BadSP);
-    expectIdentical(Fault, FaultAgain, E.Name, Src);
+    Snapshot FaultAgain = runOnce(*Bad, E, Bad->entryOf("main"));
+    expectIdentical(Fault, FaultAgain, Name, Src);
     // ...and must not contaminate the next clean run.
-    Snapshot After = runOnce(*Clean, E, CleanEntry, CleanSP);
-    expectIdentical(Before, After, E.Name, "clean run after fault");
+    Snapshot After = runOnce(*Clean, E, CleanEntry);
+    expectIdentical(Before, After, Name, "clean run after fault");
   }
 }
 
 TEST_P(RepeatTest, WorkloadsRepeatDeterministically) {
-  const EngineUnderTest &E = GetParam();
+  const engine::EngineId E = GetParam();
+  const char *Name = engine::engineName(E);
   size_t N;
   const workloads::WorkloadInfo *W = workloads::allWorkloads(N);
   ASSERT_GT(N, 0u);
   for (size_t I = 0; I < N; ++I) {
     auto Sys = forth::loadOrDie(W[I].Source);
     uint32_t Entry = Sys->entryOf(W[I].Entry);
-    staticcache::SpecProgram SP = staticcache::compileStatic(Sys->Prog);
-    Snapshot First = runOnce(*Sys, E, Entry, SP);
+    Snapshot First = runOnce(*Sys, E, Entry);
     ASSERT_EQ(First.Outcome.Status, RunStatus::Halted)
-        << E.Name << " on " << W[I].Name;
-    EXPECT_EQ(First.Output, W[I].Expected) << E.Name << " on " << W[I].Name;
-    Snapshot Again = runOnce(*Sys, E, Entry, SP);
-    expectIdentical(First, Again, E.Name, W[I].Name);
+        << Name << " on " << W[I].Name;
+    EXPECT_EQ(First.Output, W[I].Expected) << Name << " on " << W[I].Name;
+    Snapshot Again = runOnce(*Sys, E, Entry);
+    expectIdentical(First, Again, Name, W[I].Name);
   }
 }

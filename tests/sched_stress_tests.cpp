@@ -247,6 +247,7 @@ TEST(SchedStress, DrainMidFlightRacesSubmitters) {
   }
 
   std::vector<std::vector<Job *>> Admitted(NumTenants);
+  std::atomic<unsigned> AdmittedCount{0};
   std::vector<std::thread> Submitters;
   for (unsigned TI = 0; TI < NumTenants; ++TI) {
     Submitters.emplace_back([&, TI] {
@@ -258,12 +259,18 @@ TEST(SchedStress, DrainMidFlightRacesSubmitters) {
         const SubmitResult R = S.submit(J);
         if (R == SubmitResult::Closed)
           return; // the drain shut the door mid-flight
-        if (R == SubmitResult::Admitted)
+        if (R == SubmitResult::Admitted) {
           Admitted[TI].push_back(J);
+          AdmittedCount.fetch_add(1, std::memory_order_release);
+        }
       }
     });
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  // Drain on an event, not after a fixed sleep: once the first job is
+  // in, the submitters are mid-flight however slow the build (a sleep
+  // could end before anything was admitted under a sanitizer).
+  while (AdmittedCount.load(std::memory_order_acquire) == 0)
+    std::this_thread::yield();
   S.drain(); // races the submitters: whatever got in must finish
   for (std::thread &T : Submitters)
     T.join();

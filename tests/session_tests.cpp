@@ -176,7 +176,7 @@ TEST(SliceDifferential, ComparatorCatchesTampering) {
 TEST(VmSession, RunsToCompletionInSlices) {
   // Reference output from the unsupervised switch engine.
   auto Ref = forth::loadOrDie(SliceProgramSrc)->runIsolated(
-      "main", dispatch::EngineKind::Switch);
+      "main", engine::EngineId::Switch);
   ASSERT_EQ(Ref.Outcome.Status, RunStatus::Halted);
 
   for (prepare::EngineId E : AllPrepareEngines) {
@@ -187,13 +187,11 @@ TEST(VmSession, RunsToCompletionInSlices) {
     EXPECT_EQ(R.Stop, StopKind::Halted) << engine::engineName(E);
     EXPECT_EQ(F.Machine.Out, Ref.Output) << engine::engineName(E);
     if (!isStaticFlavor(E)) {
-      EXPECT_EQ(R.Outcome.Steps, Ref.Outcome.Steps)
-          << engine::engineName(E);
+      EXPECT_EQ(R.Outcome.Steps, Ref.Outcome.Steps) << engine::engineName(E);
       // Every slice but the last stops on the step limit, so the count
       // is exactly ceil(steps / slice).
       EXPECT_EQ(R.Slices, (Ref.Outcome.Steps + P.SliceSteps - 1) /
-                              P.SliceSteps)
-          << engine::engineName(E);
+                              P.SliceSteps) << engine::engineName(E);
     }
     EXPECT_EQ(F.S->counters().StepsExecuted, R.Outcome.Steps);
     EXPECT_EQ(F.S->counters().Slices, R.Slices);
@@ -202,7 +200,7 @@ TEST(VmSession, RunsToCompletionInSlices) {
 
 TEST(VmSession, FuelExhaustsAndRefuelResumes) {
   auto Ref = forth::loadOrDie(SliceProgramSrc)->runIsolated(
-      "main", dispatch::EngineKind::Threaded);
+      "main", engine::EngineId::Threaded);
   ASSERT_EQ(Ref.Outcome.Status, RunStatus::Halted);
 
   SessionPolicy P;
@@ -297,8 +295,7 @@ TEST(VmSession, ConfirmsRealFault) {
     SessionFixture F(FaultProgramSrc, E, P);
     SessionResult R = F.S->run("main");
     EXPECT_EQ(R.Stop, StopKind::Fault) << engine::engineName(E);
-    EXPECT_EQ(R.Outcome.Status, RunStatus::DivByZero)
-        << engine::engineName(E);
+    EXPECT_EQ(R.Outcome.Status, RunStatus::DivByZero) << engine::engineName(E);
     EXPECT_TRUE(R.Replayed);
     EXPECT_EQ(R.Verdict, Confirmation::Confirmed)
         << engine::engineName(E) << ": "
@@ -404,7 +401,7 @@ TEST(VmSession, QuarantineAfterConfirmedFaults) {
 TEST(VmSession, ConcurrentSessionsSharedCacheAndCancellation) {
   globalQuarantine().clear();
   auto Sys = forth::loadOrDie(SliceProgramSrc);
-  auto Ref = Sys->runIsolated("main", dispatch::EngineKind::Switch);
+  auto Ref = Sys->runIsolated("main", engine::EngineId::Switch);
 
   // Thread-shareable flavors only: CallThreaded keeps its VM registers
   // in static storage and is non-reentrant by design.

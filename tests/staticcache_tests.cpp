@@ -50,7 +50,7 @@ StaticRun runStatic(const forth::System &Sys, const SpecProgram &SP,
 void checkAgainstReference(const char *Src) {
   SCOPED_TRACE(Src);
   auto Sys = forth::loadOrDie(Src);
-  auto Ref = Sys->runIsolated("main", dispatch::EngineKind::Switch);
+  auto Ref = Sys->runIsolated("main", engine::EngineId::Switch);
   SpecProgram SP = compileStatic(Sys->Prog);
   StaticRun R = runStatic(*Sys, SP, "main");
   EXPECT_EQ(R.Outcome.Status, Ref.Outcome.Status);
@@ -202,7 +202,7 @@ TEST(StaticEngine, InstructionCountsVersusReference) {
   auto *W = workloads::allWorkloads(N);
   for (size_t I = 0; I < N; ++I) {
     auto Sys = forth::loadOrDie(W[I].Source);
-    auto Ref = Sys->runIsolated("main", dispatch::EngineKind::Switch);
+    auto Ref = Sys->runIsolated("main", engine::EngineId::Switch);
     SpecProgram SP = compileStatic(Sys->Prog);
     StaticRun R = runStatic(*Sys, SP, "main");
     EXPECT_GT(SP.ManipsRemoved, 0u) << W[I].Name;
@@ -214,7 +214,7 @@ TEST(StaticEngine, InstructionCountsVersusReference) {
   for (const char *Name : {"compile", "gray"}) {
     auto *WL = workloads::findWorkload(Name);
     auto Sys = forth::loadOrDie(WL->Source);
-    auto Ref = Sys->runIsolated("main", dispatch::EngineKind::Switch);
+    auto Ref = Sys->runIsolated("main", engine::EngineId::Switch);
     SpecProgram SP = compileStatic(Sys->Prog);
     StaticRun R = runStatic(*Sys, SP, "main");
     EXPECT_LT(R.Outcome.Steps, Ref.Outcome.Steps) << Name;

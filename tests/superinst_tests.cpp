@@ -5,7 +5,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "dynamic/Dynamic3Engine.h"
+#include "TestSupport.h"
+
 #include "forth/Forth.h"
 #include "staticcache/StaticEngine.h"
 #include "staticcache/StaticSpec.h"
@@ -34,9 +35,9 @@ void checkCombined(const char *Src, bool ExpectFusion = true) {
     EXPECT_GT(R.PairsCombined, 0u);
   }
 
-  auto Ref = Sys->runIsolated("main", dispatch::EngineKind::Switch);
-  for (auto K : {dispatch::EngineKind::Switch, dispatch::EngineKind::Threaded,
-                 dispatch::EngineKind::ThreadedTos}) {
+  auto Ref = Sys->runIsolated("main", engine::EngineId::Switch);
+  for (auto K : {engine::EngineId::Switch, engine::EngineId::Threaded,
+                 engine::EngineId::ThreadedTos}) {
     Vm Copy = Sys->Machine;
     Copy.resetOutput();
     ExecContext Ctx(R.Combined, Copy);
@@ -45,13 +46,13 @@ void checkCombined(const char *Src, bool ExpectFusion = true) {
     engine::RunOptions Opts;
     Opts.Entry = W->Entry;
     RunOutcome O =
-        engine::runEngine(dispatch::engineIdOf(K), R.Combined, Ctx, Opts);
-    EXPECT_EQ(O.Status, Ref.Outcome.Status) << engine::engineName(dispatch::engineIdOf(K));
+        engine::runEngine(K, R.Combined, Ctx, Opts);
+    EXPECT_EQ(O.Status, Ref.Outcome.Status) << engine::engineName(K);
     std::vector<Cell> DS(Ctx.DS.begin(), Ctx.DS.begin() + Ctx.DsDepth);
-    EXPECT_EQ(DS, Ref.DS) << engine::engineName(dispatch::engineIdOf(K));
-    EXPECT_EQ(Copy.Out, Ref.Output) << engine::engineName(dispatch::engineIdOf(K));
+    EXPECT_EQ(DS, Ref.DS) << engine::engineName(K);
+    EXPECT_EQ(Copy.Out, Ref.Output) << engine::engineName(K);
     if (ExpectFusion) {
-      EXPECT_LT(O.Steps, Ref.Outcome.Steps) << engine::engineName(dispatch::engineIdOf(K));
+      EXPECT_LT(O.Steps, Ref.Outcome.Steps) << engine::engineName(K);
     }
   }
 }
@@ -90,7 +91,7 @@ TEST(Superinst, DoesNotFuseAcrossBranchTargets) {
   // the branch.
   auto Sys = forth::loadOrDie(": main 10 1 0 if 2 drop then + ;");
   CombineResult R = combineSuperinstructions(Sys->Prog);
-  auto Ref = Sys->runIsolated("main", dispatch::EngineKind::Switch);
+  auto Ref = Sys->runIsolated("main", engine::EngineId::Switch);
   Vm Copy = Sys->Machine;
   ExecContext Ctx(R.Combined, Copy);
   engine::RunOptions Opts;
@@ -134,7 +135,7 @@ TEST(Superinst, ComposesWithStaticCaching) {
   // generic path) and everything still agrees.
   auto Sys = forth::loadOrDie(
       "variable x : main 7 x ! 0 50 0 do x @ + 1 x +! loop x @ + ;");
-  auto Ref = Sys->runIsolated("main", dispatch::EngineKind::Switch);
+  auto Ref = Sys->runIsolated("main", engine::EngineId::Switch);
   CombineResult R = combineSuperinstructions(Sys->Prog);
   staticcache::SpecProgram SP = staticcache::compileStatic(R.Combined);
   Vm Copy = Sys->Machine;
@@ -148,12 +149,13 @@ TEST(Superinst, ComposesWithStaticCaching) {
 
 TEST(Superinst, ComposesWithDynamicCaching) {
   auto Sys = forth::loadOrDie(": main 0 30 0 do 2 + 1 - loop ;");
-  auto Ref = Sys->runIsolated("main", dispatch::EngineKind::Switch);
+  auto Ref = Sys->runIsolated("main", engine::EngineId::Switch);
   CombineResult R = combineSuperinstructions(Sys->Prog);
   Vm Copy = Sys->Machine;
   ExecContext Ctx(R.Combined, Copy);
   RunOutcome O =
-      dynamic::runDynamic3Engine(Ctx, R.Combined.findWord("main")->Entry);
+      tests::runFrom(engine::EngineId::Dynamic3, Ctx,
+                     R.Combined.findWord("main")->Entry);
   EXPECT_EQ(O.Status, Ref.Outcome.Status);
   std::vector<Cell> DS(Ctx.DS.begin(), Ctx.DS.begin() + Ctx.DsDepth);
   EXPECT_EQ(DS, Ref.DS);
@@ -175,7 +177,7 @@ TEST(Superinst, RandomProgramsAgree) {
     SCOPED_TRACE(Src);
     auto Sys = forth::loadOrDie(Src);
     CombineResult C = combineSuperinstructions(Sys->Prog);
-    auto Ref = Sys->runIsolated("main", dispatch::EngineKind::Switch);
+    auto Ref = Sys->runIsolated("main", engine::EngineId::Switch);
     Vm Copy = Sys->Machine;
     ExecContext Ctx(C.Combined, Copy);
     engine::RunOptions Opts;

@@ -15,7 +15,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "dynamic/Dynamic3Engine.h"
+#include "TestSupport.h"
+
 #include "forth/Forth.h"
 #include "staticcache/StaticEngine.h"
 #include "staticcache/StaticSpec.h"
@@ -124,20 +125,18 @@ create arr 8 cells allot
 TEST(Torture, AllEnginesPassEveryAssertion) {
   auto Sys = forth::loadOrDie(TortureSrc);
 
-  for (auto K : {dispatch::EngineKind::Switch, dispatch::EngineKind::Threaded,
-                 dispatch::EngineKind::CallThreaded,
-                 dispatch::EngineKind::ThreadedTos}) {
+  for (engine::EngineId K : tests::referenceEngines()) {
     auto R = Sys->runIsolated("main", K);
-    ASSERT_EQ(R.Outcome.Status, RunStatus::Halted)
-        << engine::engineName(dispatch::engineIdOf(K));
-    ASSERT_EQ(R.DS.size(), 1u) << engine::engineName(dispatch::engineIdOf(K));
-    EXPECT_EQ(R.DS[0], 0) << engine::engineName(dispatch::engineIdOf(K))
+    ASSERT_EQ(R.Outcome.Status, RunStatus::Halted) << engine::engineName(K);
+    ASSERT_EQ(R.DS.size(), 1u) << engine::engineName(K);
+    EXPECT_EQ(R.DS[0], 0) << engine::engineName(K)
                           << ": guest assertions failed";
   }
   {
     Vm Copy = Sys->Machine;
     ExecContext Ctx(Sys->Prog, Copy);
-    RunOutcome O = dynamic::runDynamic3Engine(Ctx, Sys->entryOf("main"));
+    RunOutcome O = tests::runFrom(engine::EngineId::Dynamic3, Ctx,
+                                  Sys->entryOf("main"));
     ASSERT_EQ(O.Status, RunStatus::Halted);
     ASSERT_EQ(Ctx.DsDepth, 1u);
     EXPECT_EQ(Ctx.DS[0], 0) << "dynamic3: guest assertions failed";

@@ -35,7 +35,7 @@ Trace makeTrace(std::initializer_list<std::pair<Opcode, bool>> Items) {
 
 TEST(Capture, LengthMatchesSteps) {
   auto Sys = forth::loadOrDie(": main 1 2 + drop ;");
-  auto Report = Sys->runIsolated("main", dispatch::EngineKind::Switch);
+  auto Report = Sys->runIsolated("main", engine::EngineId::Switch);
   Trace T = captureTrace(*Sys, "main");
   EXPECT_EQ(T.size(), Report.Outcome.Steps);
 }

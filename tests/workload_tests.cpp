@@ -11,6 +11,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestSupport.h"
+
 #include "forth/Forth.h"
 #include "workloads/Workloads.h"
 
@@ -18,7 +20,7 @@
 
 using namespace sc;
 using namespace sc::workloads;
-using sc::dispatch::EngineKind;
+using sc::engine::EngineId;
 
 namespace {
 
@@ -49,7 +51,7 @@ TEST_P(WorkloadTest, LoadsAndVerifies) {
 
 TEST_P(WorkloadTest, GoldenChecksumOnReferenceEngine) {
   auto Sys = forth::loadOrDie(GetParam()->Source);
-  auto R = Sys->runIsolated(GetParam()->Entry, EngineKind::Switch);
+  auto R = Sys->runIsolated(GetParam()->Entry, EngineId::Switch);
   EXPECT_EQ(R.Outcome.Status, vm::RunStatus::Halted);
   EXPECT_EQ(R.Output, GetParam()->Expected);
   EXPECT_TRUE(R.DS.empty()) << "workloads must leave a clean stack";
@@ -57,22 +59,18 @@ TEST_P(WorkloadTest, GoldenChecksumOnReferenceEngine) {
 
 TEST_P(WorkloadTest, AllEnginesAgree) {
   auto Sys = forth::loadOrDie(GetParam()->Source);
-  const EngineKind Engines[] = {EngineKind::Threaded,
-                                EngineKind::CallThreaded,
-                                EngineKind::ThreadedTos};
-  auto Ref = Sys->runIsolated(GetParam()->Entry, EngineKind::Switch);
-  for (EngineKind K : Engines) {
+  auto Ref = Sys->runIsolated(GetParam()->Entry, EngineId::Switch);
+  for (EngineId K : tests::referenceEngines()) {
     auto R = Sys->runIsolated(GetParam()->Entry, K);
-    EXPECT_EQ(R.Outcome.Status, Ref.Outcome.Status)
-        << engine::engineName(dispatch::engineIdOf(K));
-    EXPECT_EQ(R.Outcome.Steps, Ref.Outcome.Steps) << engine::engineName(dispatch::engineIdOf(K));
-    EXPECT_EQ(R.Output, Ref.Output) << engine::engineName(dispatch::engineIdOf(K));
+    EXPECT_EQ(R.Outcome.Status, Ref.Outcome.Status) << engine::engineName(K);
+    EXPECT_EQ(R.Outcome.Steps, Ref.Outcome.Steps) << engine::engineName(K);
+    EXPECT_EQ(R.Output, Ref.Output) << engine::engineName(K);
   }
 }
 
 TEST_P(WorkloadTest, SubstantialInstructionCount) {
   auto Sys = forth::loadOrDie(GetParam()->Source);
-  auto R = Sys->runIsolated(GetParam()->Entry, EngineKind::Switch);
+  auto R = Sys->runIsolated(GetParam()->Entry, EngineId::Switch);
   EXPECT_GT(R.Outcome.Steps, 1000000u)
       << "workloads must be big enough for meaningful statistics";
 }
