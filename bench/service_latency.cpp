@@ -239,10 +239,8 @@ PhaseResult runPhase(const char *Name, ServiceConfig Cfg, uint64_t Jobs,
   std::sort(All.begin(), All.end());
   PhaseResult R;
   R.WallNs = WallNs;
-  if (!All.empty()) {
-    R.P50Ns = All[(All.size() - 1) * 50 / 100];
-    R.P99Ns = All[(All.size() - 1) * 99 / 100];
-  }
+  R.P50Ns = metrics::percentileOf(All, 50);
+  R.P99Ns = metrics::percentileOf(All, 99);
   R.Retries = Retries.load();
   R.Rejects = Rejects.load();
   R.Stats = S;

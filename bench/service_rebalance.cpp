@@ -39,6 +39,7 @@
 
 #include "forth/Forth.h"
 #include "metrics/Reporter.h"
+#include "metrics/Timing.h"
 #include "prepare/PrepareCache.h"
 #include "service/Service.h"
 #include "session/VmSession.h"
@@ -222,10 +223,8 @@ PhaseResult runPhase(const char *Name, const ServiceConfig &Cfg,
   std::sort(All.begin(), All.end());
   PhaseResult R;
   R.WallNs = WallNs;
-  if (!All.empty()) {
-    R.P50Ns = All[(All.size() - 1) * 50 / 100];
-    R.P99Ns = All[(All.size() - 1) * 99 / 100];
-  }
+  R.P50Ns = metrics::percentileOf(All, 50);
+  R.P99Ns = metrics::percentileOf(All, 99);
   R.Offered = Jobs;
   R.Admitted = Admitted.load();
   R.Shed = Shed.load();

@@ -24,12 +24,6 @@ bool Organization::contains(const CacheState &S) const {
   return MemberCache.count(S.encode()) != 0;
 }
 
-std::vector<CacheState> Organization::allStates() const {
-  std::vector<CacheState> Out;
-  enumerate([&Out](const CacheState &S) { Out.push_back(S); });
-  return Out;
-}
-
 // --- Closed forms -----------------------------------------------------------
 
 uint64_t sc::cache::minimalStateCount(unsigned N) { return N + 1; }

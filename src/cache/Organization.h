@@ -69,9 +69,6 @@ public:
   /// Membership test. The default builds a hash set from enumerate() on
   /// first use; subclasses with cheap closed-form tests override it.
   virtual bool contains(const CacheState &S) const;
-
-  /// Collects all states (convenience; don't call on huge organizations).
-  std::vector<CacheState> allStates() const;
 };
 
 /// Creates the organization \p K with \p NumRegs registers.

@@ -13,7 +13,6 @@
 
 #include "dispatch/EngineRegistry.h"
 
-#include "prepare/Prepare.h"
 #include "support/Assert.h"
 
 #include <algorithm>
@@ -90,22 +89,6 @@ const EngineInfo *sc::engine::findEngine(std::string_view Name) {
 }
 
 const char *sc::engine::engineName(EngineId E) { return engineInfo(E).Name; }
-
-vm::RunOutcome sc::engine::runEngine(EngineId E, const Code &Prog,
-                                     ExecContext &Ctx,
-                                     const RunOptions &Opts) {
-  SC_ASSERT(Ctx.Machine, "unbound ExecContext");
-  Ctx.MaxSteps = Opts.MaxSteps;
-  Ctx.Resume = Opts.Resume;
-  if (Opts.Prepared) {
-    SC_ASSERT(Opts.Prepared->Engine == E,
-              "prepared handle belongs to another engine");
-    return prepare::runPrepared(*Opts.Prepared, Ctx, Opts.Entry);
-  }
-  // No handle: prepare a temporary artifact and run it the same way.
-  return prepare::runPrepared(*prepare::prepareCode(Prog, E), Ctx,
-                              Opts.Entry);
-}
 
 std::vector<EngineId> sc::engine::promotionLadder(bool RequireReentrant) {
   std::vector<EngineId> Ladder;

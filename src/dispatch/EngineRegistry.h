@@ -21,9 +21,9 @@
 /// which installs the step budget and resume flag into the context and
 /// executes a prepare::PreparedCode through prepare::runPrepared. With a
 /// prepared handle the run reuses its translation; without one it
-/// prepares a temporary artifact for this run and discards it, so a
-/// caller that runs the same Code repeatedly should hold a handle (or a
-/// PrepareCache).
+/// translates the caller's Code for this run only and discards the
+/// translation, so a caller that runs the same Code repeatedly should
+/// hold a handle (or a PrepareCache).
 ///
 /// EngineId is the canonical engine enumeration; prepare::EngineId and
 /// harness::EngineId are aliases of it.
@@ -100,7 +100,7 @@ struct RunOptions {
   uint64_t MaxSteps = UINT64_MAX;  ///< guest-step budget for this run
   bool Resume = false;             ///< re-entry: keep the entry sentinel
   /// Reuse this prepared translation (must be for the same engine and
-  /// program). Null prepares a temporary one for this run.
+  /// program). Null translates the program for this run only.
   const prepare::PreparedCode *Prepared = nullptr;
 };
 
@@ -126,9 +126,10 @@ const char *engineName(EngineId E);
 
 /// Runs \p Prog under engine \p E with the normalized options. Installs
 /// Opts.MaxSteps / Opts.Resume into \p Ctx and runs Opts.Prepared, or a
-/// temporary prepare::prepareCode(Prog, E), through prepare::runPrepared.
-/// Ctx.Prog points at the prepared program for the duration of the run
-/// and is restored before returning.
+/// temporary translation of \p Prog itself (no snapshot copy, no
+/// identity hash), through prepare::runPrepared. Ctx.Prog points at the
+/// prepared program for the duration of the run and is restored before
+/// returning. Defined in prepare/Prepare.cpp, beside runPrepared.
 vm::RunOutcome runEngine(EngineId E, const vm::Code &Prog,
                          vm::ExecContext &Ctx, const RunOptions &Opts);
 

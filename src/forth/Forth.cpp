@@ -38,17 +38,6 @@ RunReport System::runIsolated(const std::string &Name, engine::EngineId E,
   return R;
 }
 
-RunOutcome System::runInPlace(const std::string &Name, engine::EngineId E,
-                              uint64_t MaxSteps) {
-  const Word *W = Prog.findWord(Name);
-  SC_ASSERT(W, "word not found");
-  ExecContext Ctx(Prog, Machine);
-  engine::RunOptions Opts;
-  Opts.Entry = W->Entry;
-  Opts.MaxSteps = MaxSteps;
-  return engine::runEngine(E, Prog, Ctx, Opts);
-}
-
 std::unique_ptr<System> sc::forth::loadOrDie(std::string_view Src) {
   auto Sys = std::make_unique<System>();
   if (!Sys->load(Src)) {

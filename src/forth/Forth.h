@@ -63,10 +63,6 @@ public:
   /// state (data space, output); the System itself is unchanged.
   RunReport runIsolated(const std::string &Name, engine::EngineId E,
                         uint64_t MaxSteps = UINT64_MAX) const;
-
-  /// Runs word \p Name in place, mutating this System's machine state.
-  vm::RunOutcome runInPlace(const std::string &Name, engine::EngineId E,
-                            uint64_t MaxSteps = UINT64_MAX);
 };
 
 /// Builds a System from source, aborting on compile errors (for tests,

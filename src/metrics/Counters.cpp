@@ -57,37 +57,6 @@ bool sc::metrics::operator==(const Counters &A, const Counters &B) {
          A.ReconcileMoves == B.ReconcileMoves;
 }
 
-Json sc::metrics::prepareCountersToJson(const PrepareCounters &C) {
-  Json Obj = Json::object();
-  Obj.set("hits", Json::number(C.Hits));
-  Obj.set("misses", Json::number(C.Misses));
-  Obj.set("invalidations", Json::number(C.Invalidations));
-  Obj.set("translations", Json::number(C.Translations));
-  Obj.set("identity_hits", Json::number(C.IdentityHits));
-  Obj.set("identity_misses", Json::number(C.IdentityMisses));
-  return Obj;
-}
-
-Json sc::metrics::sessionCountersToJson(const SessionCounters &C) {
-  Json Obj = Json::object();
-  Obj.set("slices", Json::number(C.Slices));
-  Obj.set("steps_executed", Json::number(C.StepsExecuted));
-  Obj.set("fuel_exhausted", Json::number(C.FuelExhausted));
-  Obj.set("deadline_hits", Json::number(C.DeadlineHits));
-  Obj.set("cancellations", Json::number(C.Cancellations));
-  Obj.set("fallback_replays", Json::number(C.FallbackReplays));
-  Obj.set("faults_confirmed", Json::number(C.FaultsConfirmed));
-  Obj.set("faults_refuted", Json::number(C.FaultsRefuted));
-  Obj.set("replays_inconclusive", Json::number(C.ReplaysInconclusive));
-  Obj.set("quarantines", Json::number(C.Quarantines));
-  Obj.set("quarantine_rejections", Json::number(C.QuarantineRejections));
-  Obj.set("checkpoints", Json::number(C.Checkpoints));
-  Obj.set("restores", Json::number(C.Restores));
-  Obj.set("leader_fallbacks", Json::number(C.LeaderFallbacks));
-  Obj.set("migrations", Json::number(C.Migrations));
-  return Obj;
-}
-
 std::string sc::metrics::formatSessionCounters(const SessionCounters &C) {
   std::string Out;
   char Buf[160];
@@ -118,16 +87,6 @@ std::string sc::metrics::formatSessionCounters(const SessionCounters &C) {
   if (C.Migrations)
     Line("migrations: %llu\n", static_cast<unsigned long long>(C.Migrations));
   return Out;
-}
-
-Json sc::metrics::tierCountersToJson(const TierCounters &C) {
-  Json Obj = Json::object();
-  Obj.set("promotions", Json::number(C.Promotions));
-  Obj.set("demotions", Json::number(C.Demotions));
-  Obj.set("prepare_requests", Json::number(C.PrepareRequests));
-  Obj.set("prepares", Json::number(C.Prepares));
-  Obj.set("prepare_ns", Json::number(C.PrepareNs));
-  return Obj;
 }
 
 std::string sc::metrics::formatTierCounters(const TierCounters &C) {

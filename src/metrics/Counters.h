@@ -9,7 +9,9 @@
 /// Per-run execution counters every engine and trace simulator can fill:
 /// per-opcode dispatch counts, cache overflow/underflow events, a
 /// cache-state occupancy histogram, reconcile traffic (spills, fills and
-/// register moves), and trap counts.
+/// register moves), and trap counts. Below them, the always-on counter
+/// sets of the prepare, session and tier layers, and the field-table
+/// machinery every always-on set is declared with.
 ///
 /// Collection is gated behind the SC_STATS compile-time flag; with it off
 /// the SC_IF_STATS(...) instrumentation sites compile to nothing, so the
@@ -22,15 +24,15 @@
 #ifndef SC_METRICS_COUNTERS_H
 #define SC_METRICS_COUNTERS_H
 
+#include "metrics/Json.h"
 #include "vm/Opcode.h"
 #include "vm/RunResult.h"
 
+#include <concepts>
 #include <cstdint>
 #include <string>
 
 namespace sc::metrics {
-
-class Json;
 
 /// True when the build collects execution counters (SC_STATS).
 constexpr bool statsEnabled() {
@@ -126,84 +128,95 @@ inline void noteTrap(Counters &C, vm::RunStatus S) {
   ++C.Traps[static_cast<unsigned>(S)];
 }
 
+//===----------------------------------------------------------------------===//
+// Always-on counter sets
+//===----------------------------------------------------------------------===//
+//
+// Each always-on counter set (the three below, sched::TenantCounters,
+// service::ServiceStats and service::ClientStats) is declared once, as an
+// X-macro field table: TABLE(X) expands X(Member, "json_key") per
+// counter, in JSON key order. SC_COUNTER_SET(Set, TABLE) expands inside
+// the struct body to one zero-initialised uint64_t member per entry and
+// to forEachCounter, the table walk that the generic operator+= and
+// toJson below (and PrepareCache's atomic reads) are written against.
+
+#define SC_COUNTER_MEMBER(Member, Key) uint64_t Member = 0;
+#define SC_COUNTER_VISIT(Member, Key) Fn(Key, &Self::Member);
+#define SC_COUNTER_SET(Set, TABLE)                                             \
+  TABLE(SC_COUNTER_MEMBER)                                                     \
+  /** Calls Fn(json_key, &Set::Member) once per counter, in table order. */   \
+  template <typename F> static void forEachCounter(F &&Fn) {                   \
+    using Self = Set;                                                          \
+    TABLE(SC_COUNTER_VISIT)                                                    \
+  }
+
+/// Base of every counter set (CRTP); supplies the generic accumulation.
+template <typename Set> struct CounterSet {
+  /// Field-for-field accumulation (aggregating across runs or clients).
+  friend Set &operator+=(Set &A, const Set &B) {
+    Set::forEachCounter(
+        [&](const char *, uint64_t Set::*M) { A.*M += B.*M; });
+    return A;
+  }
+};
+
+/// Appends every counter of \p C to the object \p Obj under its table
+/// key, in table order, and returns it.
+template <typename Set>
+  requires std::derived_from<Set, CounterSet<Set>>
+Json toJson(const Set &C, Json Obj = Json::object()) {
+  Set::forEachCounter([&](const char *Key, uint64_t Set::*M) {
+    Obj.set(Key, Json::number(C.*M));
+  });
+  return Obj;
+}
+
 /// Translation-cache counters for the prepare subsystem (src/prepare):
 /// how often a (Code, engine) translation was served from cache versus
 /// built, plus version-stamp invalidations and the number of stream
 /// translations actually performed. Unlike Counters these are always
 /// maintained — they tick once per prepare/lookup, not per instruction.
-struct PrepareCounters {
-  uint64_t Hits = 0;          ///< getOrPrepare served without translating
-  uint64_t Misses = 0;        ///< getOrPrepare that had to prepare
-  uint64_t Invalidations = 0; ///< entries dropped because Code::version moved
-  uint64_t Translations = 0;  ///< prepared streams actually built
-  /// Content-identity lookups (findByIdentity, the restore/tier path)
-  /// are counted separately from the getOrPrepare pair above, so each
-  /// pair independently satisfies hits + misses == lookups once writers
-  /// quiesce. (They used to share Hits with no miss tick at all, which
-  /// made the aggregate unreconcilable under mixed lookups.)
-  uint64_t IdentityHits = 0;
-  uint64_t IdentityMisses = 0;
+/// Content-identity lookups (findByIdentity, the restore/tier path) are
+/// counted apart from the getOrPrepare pair, so each pair independently
+/// satisfies hits + misses == lookups once writers quiesce.
+#define SC_PREPARE_COUNTERS(X)                                                 \
+  X(Hits, "hits")                   /* getOrPrepare served from cache */       \
+  X(Misses, "misses")               /* getOrPrepare that had to prepare */     \
+  X(Invalidations, "invalidations") /* dropped: Code::version moved */         \
+  X(Translations, "translations")   /* prepared streams actually built */      \
+  X(IdentityHits, "identity_hits")  /* findByIdentity found an entry */        \
+  X(IdentityMisses, "identity_misses") /* findByIdentity found none */
 
-  PrepareCounters &operator+=(const PrepareCounters &O) {
-    Hits += O.Hits;
-    Misses += O.Misses;
-    Invalidations += O.Invalidations;
-    Translations += O.Translations;
-    IdentityHits += O.IdentityHits;
-    IdentityMisses += O.IdentityMisses;
-    return *this;
-  }
+struct PrepareCounters : CounterSet<PrepareCounters> {
+  SC_COUNTER_SET(PrepareCounters, SC_PREPARE_COUNTERS)
 };
-
-/// Serializes \p C as a flat JSON object (hits/misses/invalidations/
-/// translations).
-Json prepareCountersToJson(const PrepareCounters &C);
 
 /// Supervision counters for the session layer (src/session): one tick
 /// per slice-boundary decision a VmSession makes. Like PrepareCounters
 /// these are always maintained — they are far off the per-instruction
 /// hot paths, so they cost nothing SC_STATS would save.
-struct SessionCounters {
-  uint64_t Slices = 0;        ///< engine entries (including replays)
-  uint64_t StepsExecuted = 0; ///< guest steps across all slices
-  uint64_t FuelExhausted = 0; ///< runs stopped by the fuel budget
-  uint64_t DeadlineHits = 0;  ///< runs stopped by the wall-clock deadline
-  uint64_t Cancellations = 0; ///< runs stopped by cancel()
-  uint64_t FallbackReplays = 0;      ///< fault replays under the reference engine
-  uint64_t FaultsConfirmed = 0;      ///< replays that reproduced the fault
-  uint64_t FaultsRefuted = 0;        ///< replays that disagreed with the fault
-  uint64_t ReplaysInconclusive = 0;  ///< replays that hit the replay budget
-  uint64_t Quarantines = 0;          ///< programs quarantined by this session
-  uint64_t QuarantineRejections = 0; ///< runs refused because of quarantine
-  uint64_t Checkpoints = 0;     ///< durable snapshots written by policy
-  uint64_t Restores = 0;        ///< successful restoreFrom() calls
-  uint64_t LeaderFallbacks = 0; ///< slices routed to the reference engine
-                                ///< because a restored PC was not a safe
-                                ///< entry point of a static translation
-  uint64_t Migrations = 0; ///< migrateTo() engine swaps at slice boundaries
+#define SC_SESSION_COUNTERS(X)                                                 \
+  X(Slices, "slices")                 /* engine entries (incl. replays) */     \
+  X(StepsExecuted, "steps_executed")  /* guest steps across all slices */      \
+  X(FuelExhausted, "fuel_exhausted")  /* runs stopped by the fuel budget */    \
+  X(DeadlineHits, "deadline_hits")    /* runs stopped by the deadline */       \
+  X(Cancellations, "cancellations")   /* runs stopped by cancel() */           \
+  X(FallbackReplays, "fallback_replays") /* fault replays, reference engine */ \
+  X(FaultsConfirmed, "faults_confirmed") /* replays reproducing the fault */   \
+  X(FaultsRefuted, "faults_refuted")     /* replays disagreeing with it */     \
+  X(ReplaysInconclusive, "replays_inconclusive") /* hit the replay budget */   \
+  X(Quarantines, "quarantines")       /* programs quarantined here */          \
+  X(QuarantineRejections, "quarantine_rejections") /* runs refused */          \
+  X(Checkpoints, "checkpoints")       /* durable snapshots written */          \
+  X(Restores, "restores")             /* successful restoreFrom() calls */     \
+  X(LeaderFallbacks, "leader_fallbacks") /* slices sent to the reference */    \
+                                         /* engine: restored PC was not a */   \
+                                         /* static translation's entry */      \
+  X(Migrations, "migrations") /* migrateTo() swaps at slice boundaries */
 
-  SessionCounters &operator+=(const SessionCounters &O) {
-    Slices += O.Slices;
-    StepsExecuted += O.StepsExecuted;
-    FuelExhausted += O.FuelExhausted;
-    DeadlineHits += O.DeadlineHits;
-    Cancellations += O.Cancellations;
-    FallbackReplays += O.FallbackReplays;
-    FaultsConfirmed += O.FaultsConfirmed;
-    FaultsRefuted += O.FaultsRefuted;
-    ReplaysInconclusive += O.ReplaysInconclusive;
-    Quarantines += O.Quarantines;
-    QuarantineRejections += O.QuarantineRejections;
-    Checkpoints += O.Checkpoints;
-    Restores += O.Restores;
-    LeaderFallbacks += O.LeaderFallbacks;
-    Migrations += O.Migrations;
-    return *this;
-  }
+struct SessionCounters : CounterSet<SessionCounters> {
+  SC_COUNTER_SET(SessionCounters, SC_SESSION_COUNTERS)
 };
-
-/// Serializes \p C as a flat JSON object (slices/steps/fuel-exhausted/...).
-Json sessionCountersToJson(const SessionCounters &C);
 
 /// Human-readable multi-line rendering (forth_run session summary).
 std::string formatSessionCounters(const SessionCounters &C);
@@ -211,25 +224,16 @@ std::string formatSessionCounters(const SessionCounters &C);
 /// Promotion-ladder traffic for one adaptive tier controller
 /// (src/tier). Always maintained, like PrepareCounters: one tick per
 /// tiering decision, far off the per-instruction hot paths.
-struct TierCounters {
-  uint64_t Promotions = 0; ///< hotter artifacts handed to a caller
-  uint64_t Demotions = 0;  ///< identities pinned cold (confirmed faults)
-  uint64_t PrepareRequests = 0; ///< re-preparations asked for
-  uint64_t Prepares = 0;        ///< re-preparations completed
-  uint64_t PrepareNs = 0;       ///< wall-clock ns spent re-preparing
+#define SC_TIER_COUNTERS(X)                                                    \
+  X(Promotions, "promotions") /* hotter artifacts handed to a caller */        \
+  X(Demotions, "demotions")   /* identities pinned cold (confirmed faults) */  \
+  X(PrepareRequests, "prepare_requests") /* re-preparations asked for */       \
+  X(Prepares, "prepares")                /* re-preparations completed */       \
+  X(PrepareNs, "prepare_ns")             /* wall-clock ns re-preparing */
 
-  TierCounters &operator+=(const TierCounters &O) {
-    Promotions += O.Promotions;
-    Demotions += O.Demotions;
-    PrepareRequests += O.PrepareRequests;
-    Prepares += O.Prepares;
-    PrepareNs += O.PrepareNs;
-    return *this;
-  }
+struct TierCounters : CounterSet<TierCounters> {
+  SC_COUNTER_SET(TierCounters, SC_TIER_COUNTERS)
 };
-
-/// Serializes \p C as a flat JSON object (promotions/demotions/...).
-Json tierCountersToJson(const TierCounters &C);
 
 /// Human-readable one-line rendering (forth_run --adaptive summary).
 std::string formatTierCounters(const TierCounters &C);

@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <vector>
 
 namespace sc::metrics {
@@ -38,6 +39,16 @@ inline double medianOf(std::vector<double> &Samples) {
   size_t N = Samples.size();
   return N % 2 ? Samples[N / 2]
                : (Samples[N / 2 - 1] + Samples[N / 2]) / 2.0;
+}
+
+/// The \p P-th percentile (P in 0..100) of \p Sorted, which must be in
+/// ascending order: the element at index (N-1)*P/100, rounded down by
+/// integer division. 0 when \p Sorted is empty.
+inline uint64_t percentileOf(const std::vector<uint64_t> &Sorted,
+                             unsigned P) {
+  if (Sorted.empty())
+    return 0;
+  return Sorted[(Sorted.size() - 1) * P / 100];
 }
 
 /// Runs \p Fn \p Warmup times unmeasured, then \p Reps measured times.

@@ -30,10 +30,55 @@ uint32_t PreparedCode::entryOf(const std::string &Name) const {
 
 namespace {
 
-/// Fills PC.Stream with the two-cell translation of its snapshot.
+/// Fills PC.Stream with the two-cell translation of its program.
 void translateInto(PreparedCode &PC, const Cell *Handlers) {
   PC.Stream.resize(2 * static_cast<size_t>(PC.program().size()));
   translateStream(PC.program(), Handlers, PC.Stream.data());
+}
+
+/// Builds PC's engine-specific translation of PC.program(): the one step
+/// both a prepared handle and a handle-less run need.
+void translate(PreparedCode &PC) {
+  const Code &Prog = PC.program();
+  switch (PC.Engine) {
+  case EngineId::Switch:
+  case EngineId::Model:
+    break; // dispatch on the program directly; nothing to translate
+  case EngineId::Threaded:
+    translateInto(PC, dispatch::threadedHandlers());
+    break;
+  case EngineId::CallThreaded:
+    translateInto(PC, dispatch::callThreadedHandlers());
+    break;
+  case EngineId::ThreadedTos:
+    translateInto(PC, dispatch::threadedTosHandlers());
+    break;
+  case EngineId::Dynamic3:
+    // Dispatches by opcode index: the stream carries no handlers.
+    translateInto(PC, nullptr);
+    break;
+  case EngineId::StaticGreedy:
+  case EngineId::StaticOptimal: {
+    staticcache::StaticOptions SO;
+    SO.TwoPassOptimal = PC.Engine == EngineId::StaticOptimal;
+    auto Spec = std::make_shared<const staticcache::SpecProgram>(
+        staticcache::compileStatic(Prog, SO));
+    PC.Stream.resize(2 * Spec->Insts.size());
+    staticcache::translateSpecStream(*Spec, staticcache::staticHandlerCells(),
+                                     PC.Stream.data());
+    PC.Spec = std::move(Spec);
+    break;
+  }
+  case EngineId::RegVm: {
+    auto Reg = std::make_shared<const regvm::RegProgram>(
+        regvm::compileRegProgram(Prog));
+    PC.Stream.resize(4 * Reg->Insts.size());
+    regvm::translateRegStream(*Reg, regvm::regHandlerCells(),
+                              PC.Stream.data());
+    PC.Reg = std::move(Reg);
+    break;
+  }
+  }
 }
 
 } // namespace
@@ -55,47 +100,7 @@ sc::prepare::prepareCode(const Code &Prog, EngineId Engine,
   } else {
     PC->Snapshot = std::make_shared<const Code>(Prog);
   }
-  const Code &Snap = *PC->Snapshot;
-
-  switch (Engine) {
-  case EngineId::Switch:
-  case EngineId::Model:
-    break; // dispatch on the snapshot directly; nothing to translate
-  case EngineId::Threaded:
-    translateInto(*PC, dispatch::threadedHandlers());
-    break;
-  case EngineId::CallThreaded:
-    translateInto(*PC, dispatch::callThreadedHandlers());
-    break;
-  case EngineId::ThreadedTos:
-    translateInto(*PC, dispatch::threadedTosHandlers());
-    break;
-  case EngineId::Dynamic3:
-    // Dispatches by opcode index: the stream carries no handlers.
-    translateInto(*PC, nullptr);
-    break;
-  case EngineId::StaticGreedy:
-  case EngineId::StaticOptimal: {
-    staticcache::StaticOptions SO;
-    SO.TwoPassOptimal = Engine == EngineId::StaticOptimal;
-    auto Spec = std::make_shared<const staticcache::SpecProgram>(
-        staticcache::compileStatic(Snap, SO));
-    PC->Stream.resize(2 * Spec->Insts.size());
-    staticcache::translateSpecStream(*Spec, staticcache::staticHandlerCells(),
-                                     PC->Stream.data());
-    PC->Spec = std::move(Spec);
-    break;
-  }
-  case EngineId::RegVm: {
-    auto Reg = std::make_shared<const regvm::RegProgram>(
-        regvm::compileRegProgram(Snap));
-    PC->Stream.resize(4 * Reg->Insts.size());
-    regvm::translateRegStream(*Reg, regvm::regHandlerCells(),
-                              PC->Stream.data());
-    PC->Reg = std::move(Reg);
-    break;
-  }
-  }
+  translate(*PC);
 
   PC->PrepareNs = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -143,6 +148,31 @@ vm::RunOutcome sc::prepare::runPrepared(const PreparedCode &PC,
   }
   Ctx.Prog = Saved;
   return O;
+}
+
+// Declared in dispatch/EngineRegistry.h; defined here, beside runPrepared,
+// so a handle-less run can translate without a snapshot.
+vm::RunOutcome sc::engine::runEngine(EngineId E, const Code &Prog,
+                                     ExecContext &Ctx,
+                                     const RunOptions &Opts) {
+  SC_ASSERT(Ctx.Machine, "unbound ExecContext");
+  Ctx.MaxSteps = Opts.MaxSteps;
+  Ctx.Resume = Opts.Resume;
+  if (Opts.Prepared) {
+    SC_ASSERT(Opts.Prepared->Engine == E,
+              "prepared handle belongs to another engine");
+    return runPrepared(*Opts.Prepared, Ctx, Opts.Entry);
+  }
+  // No handle: translate a temporary artifact over a borrowed, non-owning
+  // view of Prog (it outlives this call), with no copy and no identity
+  // hash, and run it the same way.
+  PreparedCode PC;
+  PC.Engine = E;
+  PC.Source = &Prog;
+  PC.Snapshot =
+      std::shared_ptr<const Code>(std::shared_ptr<const Code>(), &Prog);
+  translate(PC);
+  return runPrepared(PC, Ctx, Opts.Entry);
 }
 
 bool sc::prepare::canEnterAt(const PreparedCode &PC, uint32_t Pc) {

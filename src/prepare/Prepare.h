@@ -14,7 +14,8 @@
 /// (optionally) superinstruction fusion baked in — and runPrepared()
 /// executes it against any ExecContext, arbitrarily many times. It is the
 /// only way into the engines: engine::runEngine runs a caller's handle,
-/// or a temporary one it prepares for that single run.
+/// or a temporary one that translates the caller's program in place
+/// (no snapshot) for that single run.
 ///
 /// A PreparedCode snapshots the program it was translated from, so later
 /// mutation of the source Code cannot desynchronize stream and program;
@@ -79,8 +80,9 @@ struct PreparedCode {
   uint64_t PrepareNs = 0;
 
   /// The program the stream executes: a copy of the source, fused when
-  /// requested. runPrepared points ExecContext::Prog here for the
-  /// duration of the run.
+  /// requested (engine::runEngine's handle-less temporary borrows the
+  /// caller's Code instead). runPrepared points ExecContext::Prog here
+  /// for the duration of the run.
   const vm::Code &program() const { return *Snapshot; }
 
   /// Entry instruction index of word \p Name in program(). Use this

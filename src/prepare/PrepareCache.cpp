@@ -7,8 +7,22 @@
 
 #include "prepare/PrepareCache.h"
 
+#include <atomic>
+
 using namespace sc;
 using namespace sc::prepare;
+
+namespace {
+
+static_assert(alignof(metrics::PrepareCounters) >=
+                  std::atomic_ref<uint64_t>::required_alignment,
+              "PrepareCounters fields must be atomic_ref-able");
+
+void tick(uint64_t &Counter) {
+  std::atomic_ref<uint64_t>(Counter).fetch_add(1, std::memory_order_relaxed);
+}
+
+} // namespace
 
 std::shared_ptr<const PreparedCode>
 PrepareCache::getOrPrepare(const vm::Code &Prog, EngineId Engine,
@@ -18,16 +32,16 @@ PrepareCache::getOrPrepare(const vm::Code &Prog, EngineId Engine,
   auto It = Map.find(K);
   if (It != Map.end()) {
     if (It->second->SourceVersion == Prog.version()) {
-      Hits.fetch_add(1, std::memory_order_relaxed);
+      tick(Counts.Hits);
       return It->second;
     }
     // Stale: the Code mutated (or the address was recycled by a new
     // Code) since this entry was prepared.
-    Invalidations.fetch_add(1, std::memory_order_relaxed);
+    tick(Counts.Invalidations);
     Map.erase(It);
   }
-  Misses.fetch_add(1, std::memory_order_relaxed);
-  Translations.fetch_add(1, std::memory_order_relaxed);
+  tick(Counts.Misses);
+  tick(Counts.Translations);
   // Deliberately prepared under the lock: concurrent first runs of the
   // same program must share one translation, and prepare is fast
   // relative to the runs it amortizes over.
@@ -48,28 +62,22 @@ PrepareCache::findByIdentity(uint64_t Identity, EngineId Engine,
     // content its SourceIdentity was hashed from, which is exactly what
     // an identity-keyed restore asks for.
     if (PC->SourceIdentity == Identity) {
-      IdentityHits.fetch_add(1, std::memory_order_relaxed);
+      tick(Counts.IdentityHits);
       return PC;
     }
   }
-  IdentityMisses.fetch_add(1, std::memory_order_relaxed);
+  tick(Counts.IdentityMisses);
   return nullptr;
 }
 
 metrics::PrepareCounters PrepareCache::counters() const {
   metrics::PrepareCounters C;
-  C.Hits = Hits.load(std::memory_order_relaxed);
-  C.Misses = Misses.load(std::memory_order_relaxed);
-  C.Invalidations = Invalidations.load(std::memory_order_relaxed);
-  C.Translations = Translations.load(std::memory_order_relaxed);
-  C.IdentityHits = IdentityHits.load(std::memory_order_relaxed);
-  C.IdentityMisses = IdentityMisses.load(std::memory_order_relaxed);
+  metrics::PrepareCounters::forEachCounter(
+      [&](const char *, uint64_t metrics::PrepareCounters::*M) {
+        C.*M = std::atomic_ref<uint64_t>(Counts.*M).load(
+            std::memory_order_relaxed);
+      });
   return C;
-}
-
-void PrepareCache::clear() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  Map.clear();
 }
 
 size_t PrepareCache::size() const {

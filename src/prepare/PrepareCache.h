@@ -26,7 +26,6 @@
 #include "metrics/Counters.h"
 #include "prepare/Prepare.h"
 
-#include <atomic>
 #include <cstddef>
 #include <mutex>
 #include <unordered_map>
@@ -38,11 +37,12 @@ namespace sc::prepare {
 /// Thread-safety contract: every method may be called concurrently from
 /// any number of threads. The map is guarded by a mutex (held across
 /// prepare, so racing first lookups share one translation); the counters
-/// are individually atomic and ticked with relaxed ordering, so
-/// counters() is cheap, never blocks behind an in-flight prepare, and
-/// returns a value-consistent snapshot of each counter — but not a
-/// point-in-time-consistent snapshot across counters (a concurrent
-/// getOrPrepare may have ticked Misses and not yet Translations).
+/// are one PrepareCounters whose fields are ticked and read through
+/// std::atomic_ref with relaxed ordering, so counters() is cheap, never
+/// blocks behind an in-flight prepare, and returns a value-consistent
+/// snapshot of each counter — but not a point-in-time-consistent
+/// snapshot across counters (a concurrent getOrPrepare may have ticked
+/// Misses and not yet Translations).
 /// Aggregate invariants only hold once the writers have quiesced, and
 /// then per lookup family: Hits + Misses == getOrPrepare calls, and
 /// IdentityHits + IdentityMisses == findByIdentity calls (identity
@@ -82,9 +82,6 @@ public:
   /// what "snapshot" means under concurrent writers).
   metrics::PrepareCounters counters() const;
 
-  /// Drops every entry (counters are kept).
-  void clear();
-
   /// Number of live entries.
   size_t size() const;
 
@@ -109,13 +106,9 @@ private:
 
   mutable std::mutex Mu; ///< guards Map only; counters are atomic
   std::unordered_map<Key, std::shared_ptr<const PreparedCode>, KeyHash> Map;
-  std::atomic<uint64_t> Hits{0};
-  std::atomic<uint64_t> Misses{0};
-  std::atomic<uint64_t> Invalidations{0};
-  std::atomic<uint64_t> Translations{0};
-  /// mutable: const lookups (findByIdentity) tick these.
-  mutable std::atomic<uint64_t> IdentityHits{0};
-  mutable std::atomic<uint64_t> IdentityMisses{0};
+  /// Accessed only through std::atomic_ref. mutable: const lookups
+  /// (findByIdentity) tick it.
+  mutable metrics::PrepareCounters Counts;
 };
 
 /// The process-wide cache shared by every session.

@@ -96,22 +96,7 @@ metrics::Json sc::sched::snapshotToJson(const SchedSnapshot &S) {
   for (const TenantCounters &T : S.Tenants) {
     metrics::Json J = metrics::Json::object();
     J.set("name", metrics::Json::string(T.Name));
-    J.set("submitted", metrics::Json::number(T.Submitted));
-    J.set("rejected", metrics::Json::number(T.Rejected));
-    J.set("dispatches", metrics::Json::number(T.Dispatches));
-    J.set("slices", metrics::Json::number(T.Slices));
-    J.set("steps", metrics::Json::number(T.Steps));
-    J.set("preemptions", metrics::Json::number(T.Preemptions));
-    J.set("completed", metrics::Json::number(T.Completed));
-    J.set("faults", metrics::Json::number(T.Faults));
-    J.set("deadline_hits", metrics::Json::number(T.DeadlineHits));
-    J.set("cancellations", metrics::Json::number(T.Cancellations));
-    J.set("crashes", metrics::Json::number(T.Crashes));
-    J.set("recoveries", metrics::Json::number(T.Recoveries));
-    J.set("tier_promotions", metrics::Json::number(T.TierPromotions));
-    J.set("tier_demotions", metrics::Json::number(T.TierDemotions));
-    J.set("queue_depth", metrics::Json::number(T.QueueDepth));
-    Ts.push(std::move(J));
+    Ts.push(metrics::toJson(T, std::move(J)));
   }
   O.set("tenants", std::move(Ts));
   return O;
@@ -164,13 +149,12 @@ TenantId SessionScheduler::addTenant(std::string Name, TenantConfig Config) {
   SC_ASSERT(!Stopping, "addTenant after shutdown");
   Tenants.emplace_back();
   TenantState &TS = Tenants.back();
-  TS.Name = std::move(Name);
+  TS.Counts.Name = std::move(Name);
   TS.Cfg = Config;
   // QueueCapacity bounds *waiting* jobs at admission; each worker can
   // additionally hold one in-flight job it may requeue on preemption, so
   // the ring needs that much headroom to never overflow.
   TS.Queue.reserve(Config.QueueCapacity + Cfg.Workers);
-  Stats.emplace_back();
   // Re-reserve the run ring for the new tenant count, preserving order.
   Ring<uint32_t> Grown;
   Grown.reserve(Tenants.size());
@@ -224,7 +208,6 @@ SubmitResult SessionScheduler::submit(Job *J) {
   SC_ASSERT(J->state() == JobState::Idle, "submit of a non-idle job");
   std::unique_lock<std::mutex> Lock(Mu);
   TenantState &TS = Tenants[J->Tenant];
-  TenantStats &St = Stats[J->Tenant];
   for (;;) {
     if (!AdmissionOpen || Stopping)
       return SubmitResult::Closed;
@@ -233,7 +216,7 @@ SubmitResult SessionScheduler::submit(Job *J) {
     // A zero-capacity tenant rejects under Backpressure::Wait too:
     // space can never free up, so waiting would deadlock the submitter.
     if (TS.Cfg.OnFull == Backpressure::Reject || TS.Cfg.QueueCapacity == 0) {
-      St.Rejected.fetch_add(1, std::memory_order_relaxed);
+      ++TS.Counts.Rejected;
       return SubmitResult::Rejected;
     }
     AdmitCv.wait(Lock);
@@ -244,8 +227,7 @@ SubmitResult SessionScheduler::submit(Job *J) {
                       : std::chrono::steady_clock::time_point{};
   J->State.store(JobState::Queued, std::memory_order_release);
   TS.Queue.pushBack(J);
-  St.Submitted.fetch_add(1, std::memory_order_relaxed);
-  St.QueueDepth.fetch_add(1, std::memory_order_relaxed);
+  ++TS.Counts.Submitted;
   ++Pending;
   if (!TS.InRunRing) {
     RunRing.pushBack(J->Tenant);
@@ -406,7 +388,7 @@ session::SessionResult SessionScheduler::dispatch(Job *J, uint64_t MaxSlices) {
   return J->Sess->run(J->NextEntry, MaxSlices);
 }
 
-void SessionScheduler::settle(Job *J, TenantState &TS, TenantStats &St,
+void SessionScheduler::settle(Job *J, TenantState &TS,
                               const session::SessionResult &R) {
   // Fold into the aggregate: steps and slices accumulate, the final
   // stop's fields win (so a Halted aggregate is field-for-field what one
@@ -418,7 +400,7 @@ void SessionScheduler::settle(Job *J, TenantState &TS, TenantStats &St,
   J->Aggregate.Slices = Slices;
 
   if (R.Stop == session::StopKind::Preempted) {
-    St.Preemptions.fetch_add(1, std::memory_order_relaxed);
+    ++TS.Counts.Preemptions;
     J->NextEntry = R.ResumePc;
     if (Cfg.Tier) {
       // A preemption is a slice boundary with canonical resumable state:
@@ -430,7 +412,7 @@ void SessionScheduler::settle(Job *J, TenantState &TS, TenantStats &St,
                                              J->TierIdx, &NewTier)) {
         J->Sess->migrateTo(std::move(Hot));
         J->TierIdx = NewTier;
-        St.TierPromotions.fetch_add(1, std::memory_order_relaxed);
+        ++TS.Counts.TierPromotions;
       }
     }
     J->State.store(JobState::Queued, std::memory_order_release);
@@ -438,23 +420,24 @@ void SessionScheduler::settle(Job *J, TenantState &TS, TenantStats &St,
       TS.Queue.pushFront(J); // resumes at the head: run to completion
     else
       TS.Queue.pushBack(J); // yields the tenant queue to its siblings
-    St.QueueDepth.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  finish(J, St, R.Stop);
+  finish(J, TS, R.Stop);
 }
 
-void SessionScheduler::finish(Job *J, TenantStats &St, session::StopKind Stop) {
-  St.Completed.fetch_add(1, std::memory_order_relaxed);
+void SessionScheduler::finish(Job *J, TenantState &TS,
+                              session::StopKind Stop) {
+  TenantCounters &St = TS.Counts;
+  ++St.Completed;
   switch (Stop) {
   case session::StopKind::Fault:
-    St.Faults.fetch_add(1, std::memory_order_relaxed);
+    ++St.Faults;
     break;
   case session::StopKind::DeadlineExpired:
-    St.DeadlineHits.fetch_add(1, std::memory_order_relaxed);
+    ++St.DeadlineHits;
     break;
   case session::StopKind::Cancelled:
-    St.Cancellations.fetch_add(1, std::memory_order_relaxed);
+    ++St.Cancellations;
     break;
   default:
     break;
@@ -465,8 +448,8 @@ void SessionScheduler::finish(Job *J, TenantStats &St, session::StopKind Stop) {
   DoneCv.notify_all();
 }
 
-void SessionScheduler::recover(Job *J, TenantState &TS, TenantStats &St) {
-  St.Recoveries.fetch_add(1, std::memory_order_relaxed);
+void SessionScheduler::recover(Job *J, TenantState &TS) {
+  ++TS.Counts.Recoveries;
   const std::vector<uint8_t> &Ckpt = J->Sess->lastCheckpoint();
   if (!Ckpt.empty()) {
     // Roll the session — stacks, data space, output, fuel — and the
@@ -489,14 +472,13 @@ void SessionScheduler::recover(Job *J, TenantState &TS, TenantStats &St) {
     TS.Queue.pushFront(J);
   else
     TS.Queue.pushBack(J);
-  St.QueueDepth.fetch_add(1, std::memory_order_relaxed);
 }
 
 void SessionScheduler::noteLatency(uint64_t Ns) {
   unsigned B = Ns == 0 ? 0 : static_cast<unsigned>(std::bit_width(Ns)) - 1;
   if (B >= LatencyBuckets)
     B = LatencyBuckets - 1;
-  Latency[B].fetch_add(1, std::memory_order_relaxed);
+  ++Latency[B];
 }
 
 void SessionScheduler::workerLoop() {
@@ -509,9 +491,7 @@ void SessionScheduler::workerLoop() {
     if (!selectTenant(TIdx))
       continue;
     TenantState &TS = Tenants[TIdx];
-    TenantStats &St = Stats[TIdx];
     Job *J = TS.Queue.popFront();
-    St.QueueDepth.fetch_sub(1, std::memory_order_relaxed);
     AdmitCv.notify_all(); // a waiting-queue slot freed
 
     // Scheduler-level deadline, checked before any guest step of this
@@ -525,7 +505,7 @@ void SessionScheduler::workerLoop() {
       R.ResumePc = J->NextEntry;
       R.Outcome.Status = vm::RunStatus::StepLimit;
       R.Outcome.Fault.Pc = J->NextEntry;
-      settle(J, TS, St, R);
+      settle(J, TS, R);
       if (!TS.Queue.empty() && !TS.InRunRing) {
         RunRing.pushBack(static_cast<uint32_t>(TIdx));
         TS.InRunRing = true;
@@ -556,24 +536,25 @@ void SessionScheduler::workerLoop() {
       Doomed = CrashRng.below(Cfg.CrashOneIn) == 0;
 
     J->State.store(JobState::Running, std::memory_order_release);
-    BusyWorkers.fetch_add(1, std::memory_order_relaxed);
+    ++BusyWorkers;
     Lock.unlock();
 
     const auto T0 = std::chrono::steady_clock::now();
     const session::SessionResult R = dispatch(J, MaxSlices);
     const auto T1 = std::chrono::steady_clock::now();
+
+    Lock.lock();
     noteLatency(static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(T1 - T0)
             .count()));
-    BusyWorkers.fetch_sub(1, std::memory_order_relaxed);
-
-    Lock.lock();
+    --BusyWorkers;
     // The dispatch physically happened even when the worker then "dies":
     // executed steps burned CPU, so traffic counters and the DRR debit
     // are charged either way. Only the *effect on the job* is lost.
-    St.Dispatches.fetch_add(1, std::memory_order_relaxed);
-    St.Slices.fetch_add(R.Slices, std::memory_order_relaxed);
-    St.Steps.fetch_add(R.Outcome.Steps, std::memory_order_relaxed);
+    TenantCounters &St = TS.Counts;
+    ++St.Dispatches;
+    St.Slices += R.Slices;
+    St.Steps += R.Outcome.Steps;
     if (Cfg.Policy == SchedPolicy::Drr)
       TS.Deficit -= std::min(TS.Deficit, R.Outcome.Steps);
     if (Cfg.Tier && J->Prog) {
@@ -590,16 +571,16 @@ void SessionScheduler::workerLoop() {
         // tiering stops churning it (quarantine handles repeat
         // offenders process-wide).
         Cfg.Tier->demote(J->Sess->prepared().SourceIdentity);
-        St.TierDemotions.fetch_add(1, std::memory_order_relaxed);
+        ++St.TierDemotions;
       }
     }
     if (Doomed) {
       // The worker dies at the slice boundary that ended this dispatch:
       // R is never settled, as if the crash had taken it.
-      St.Crashes.fetch_add(1, std::memory_order_relaxed);
-      recover(J, TS, St);
+      ++St.Crashes;
+      recover(J, TS);
     } else {
-      settle(J, TS, St, R);
+      settle(J, TS, R);
     }
     if (!TS.Queue.empty() && !TS.InRunRing) {
       RunRing.pushBack(static_cast<uint32_t>(TIdx));
@@ -612,31 +593,13 @@ void SessionScheduler::workerLoop() {
 SchedSnapshot SessionScheduler::snapshot() const {
   SchedSnapshot S;
   S.Workers = Cfg.Workers;
-  S.BusyWorkers = BusyWorkers.load(std::memory_order_relaxed);
-  for (unsigned I = 0; I < LatencyBuckets; ++I)
-    S.Latency[I] = Latency[I].load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> Lock(Mu);
+  S.BusyWorkers = BusyWorkers;
+  std::copy(std::begin(Latency), std::end(Latency), S.Latency);
   S.Tenants.reserve(Tenants.size());
-  for (size_t I = 0; I < Tenants.size(); ++I) {
-    const TenantStats &St = Stats[I];
-    TenantCounters C;
-    C.Name = Tenants[I].Name;
-    C.Submitted = St.Submitted.load(std::memory_order_relaxed);
-    C.Rejected = St.Rejected.load(std::memory_order_relaxed);
-    C.Dispatches = St.Dispatches.load(std::memory_order_relaxed);
-    C.Slices = St.Slices.load(std::memory_order_relaxed);
-    C.Steps = St.Steps.load(std::memory_order_relaxed);
-    C.Preemptions = St.Preemptions.load(std::memory_order_relaxed);
-    C.Completed = St.Completed.load(std::memory_order_relaxed);
-    C.Faults = St.Faults.load(std::memory_order_relaxed);
-    C.DeadlineHits = St.DeadlineHits.load(std::memory_order_relaxed);
-    C.Cancellations = St.Cancellations.load(std::memory_order_relaxed);
-    C.Crashes = St.Crashes.load(std::memory_order_relaxed);
-    C.Recoveries = St.Recoveries.load(std::memory_order_relaxed);
-    C.TierPromotions = St.TierPromotions.load(std::memory_order_relaxed);
-    C.TierDemotions = St.TierDemotions.load(std::memory_order_relaxed);
-    C.QueueDepth = St.QueueDepth.load(std::memory_order_relaxed);
-    S.Tenants.push_back(std::move(C));
+  for (const TenantState &TS : Tenants) {
+    S.Tenants.push_back(TS.Counts);
+    S.Tenants.back().QueueDepth = TS.Queue.size();
   }
   return S;
 }

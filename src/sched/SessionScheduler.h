@@ -40,17 +40,20 @@
 /// and submit()/rearm() recycle a finished job without touching the
 /// heap. bench/sched_throughput asserts this with a counted allocator.
 ///
-/// All counters are relaxed atomics, readable from any thread without
-/// taking the scheduler lock: per-tenant dispatch/slice/step/fault
-/// totals, admission traffic, live queue depths, worker occupancy, and
-/// a 32-bucket log2-nanosecond histogram of dispatch latencies from
-/// which snapshot() derives p50/p99.
+/// Counters are plain integers written under the scheduler lock, which
+/// every writer (admission, settle, recovery, the worker loop) already
+/// holds: per-tenant dispatch/slice/step/fault totals, admission traffic,
+/// worker occupancy, and a 32-bucket log2-nanosecond histogram of
+/// dispatch latencies from which snapshot() derives p50/p99. snapshot()
+/// copies them under the same lock, so a snapshot is consistent across
+/// counters.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SC_SCHED_SESSIONSCHEDULER_H
 #define SC_SCHED_SESSIONSCHEDULER_H
 
+#include "metrics/Counters.h"
 #include "metrics/Json.h"
 #include "prepare/PrepareCache.h"
 #include "session/VmSession.h"
@@ -222,25 +225,28 @@ enum class SubmitResult : uint8_t {
   Closed,   ///< admission closed by drain()/shutdown()
 };
 
-/// Point-in-time counter snapshot, readable without the scheduler lock.
-struct TenantCounters {
+/// Per-tenant counters (see metrics/Counters.h for the field-table form).
+#define SC_TENANT_COUNTERS(X)                                                  \
+  X(Submitted, "submitted")     /* jobs admitted */                            \
+  X(Rejected, "rejected")       /* submissions bounced by backpressure */      \
+  X(Dispatches, "dispatches")   /* bounded dispatches executed */              \
+  X(Slices, "slices")           /* engine entries across all dispatches */     \
+  X(Steps, "steps")             /* guest steps across all dispatches */        \
+  X(Preemptions, "preemptions") /* dispatches that hit their slice budget */   \
+  X(Completed, "completed")     /* jobs finished (any stop kind) */            \
+  X(Faults, "faults")           /* jobs finished with StopKind::Fault */       \
+  X(DeadlineHits, "deadline_hits")     /* jobs stopped by their deadline */    \
+  X(Cancellations, "cancellations")    /* jobs stopped by cancel() */          \
+  X(Crashes, "crashes")          /* dispatches killed by fault injection */    \
+  X(Recoveries, "recoveries")    /* jobs restarted from a checkpoint */        \
+  X(TierPromotions, "tier_promotions") /* jobs migrated to a hotter engine */  \
+  X(TierDemotions, "tier_demotions")   /* programs pinned cold after a */      \
+                                       /* confirmed fault on a promoted tier */\
+  X(QueueDepth, "queue_depth")   /* live gauge, filled in by snapshot() */
+
+struct TenantCounters : metrics::CounterSet<TenantCounters> {
   std::string Name;
-  uint64_t Submitted = 0;   ///< jobs admitted
-  uint64_t Rejected = 0;    ///< submissions bounced by backpressure
-  uint64_t Dispatches = 0;  ///< bounded dispatches executed
-  uint64_t Slices = 0;      ///< engine entries across all dispatches
-  uint64_t Steps = 0;       ///< guest steps across all dispatches
-  uint64_t Preemptions = 0; ///< dispatches that hit their slice budget
-  uint64_t Completed = 0;   ///< jobs finished (any stop kind)
-  uint64_t Faults = 0;      ///< jobs finished with StopKind::Fault
-  uint64_t DeadlineHits = 0;   ///< jobs stopped by their deadline
-  uint64_t Cancellations = 0;  ///< jobs stopped by cancel()
-  uint64_t Crashes = 0;        ///< dispatches killed by fault injection
-  uint64_t Recoveries = 0;     ///< jobs restarted from a checkpoint
-  uint64_t TierPromotions = 0; ///< jobs migrated to a hotter engine
-  uint64_t TierDemotions = 0;  ///< programs pinned cold after a
-                               ///< confirmed fault on a promoted tier
-  uint64_t QueueDepth = 0;     ///< live gauge at snapshot time
+  SC_COUNTER_SET(TenantCounters, SC_TENANT_COUNTERS)
 };
 
 inline constexpr unsigned LatencyBuckets = 32;
@@ -330,10 +336,8 @@ public:
   /// shutdown waits forever — supervision is policy, not magic.
   void shutdown();
 
-  /// Counter snapshot. Takes the scheduler lock only to walk the tenant
-  /// table; every counter is a relaxed atomic, so dispatching workers
-  /// never block to update them and the values are per-counter
-  /// consistent, not cross-counter consistent.
+  /// Counter snapshot, copied under the scheduler lock (which every
+  /// counter update already holds), so it is consistent across counters.
   SchedSnapshot snapshot() const;
 
   const SchedConfig &config() const { return Cfg; }
@@ -369,17 +373,10 @@ private:
     }
   };
 
-  /// Per-tenant live counters: relaxed atomics in a deque so addresses
-  /// stay stable while tenants are added.
-  struct TenantStats {
-    std::atomic<uint64_t> Submitted{0}, Rejected{0}, Dispatches{0}, Slices{0},
-        Steps{0}, Preemptions{0}, Completed{0}, Faults{0}, DeadlineHits{0},
-        Cancellations{0}, Crashes{0}, Recoveries{0}, TierPromotions{0},
-        TierDemotions{0}, QueueDepth{0};
-  };
-
   struct TenantState {
-    std::string Name;
+    /// Name and counters; QueueDepth is left zero and read off Queue by
+    /// snapshot().
+    TenantCounters Counts;
     TenantConfig Cfg;
     Ring<Job *> Queue;
     uint64_t Deficit = 0;
@@ -394,13 +391,13 @@ private:
   session::SessionResult dispatch(Job *J, uint64_t MaxSlices);
   /// Folds a dispatch result into the job and decides requeue vs
   /// completion; Mu held.
-  void settle(Job *J, TenantState &TS, TenantStats &St,
-              const session::SessionResult &R);
-  void finish(Job *J, TenantStats &St, session::StopKind Stop);
+  void settle(Job *J, TenantState &TS, const session::SessionResult &R);
+  void finish(Job *J, TenantState &TS, session::StopKind Stop);
   /// Crash recovery: discards the in-flight state of \p J (its doomed
   /// dispatch's result is never settled), rolls the session and the
   /// aggregate back to the last checkpoint, and requeues; Mu held.
-  void recover(Job *J, TenantState &TS, TenantStats &St);
+  void recover(Job *J, TenantState &TS);
+  /// Records one dispatch latency in the histogram; Mu held.
   void noteLatency(uint64_t Ns);
 
   SchedConfig Cfg;
@@ -411,7 +408,6 @@ private:
   std::condition_variable AdmitCv; ///< submitters: queue space freed
 
   std::deque<TenantState> Tenants;   // Mu
-  std::deque<TenantStats> Stats;     // atomics, lock-free reads
   Ring<uint32_t> RunRing;            // Mu: tenants with queued jobs
   std::deque<std::unique_ptr<Job>> Jobs; // Mu (growth only in createJob)
   std::vector<std::thread> Pool;
@@ -423,8 +419,8 @@ private:
   bool Stopping = false;     // Mu
   bool Stopped = false;      // Mu (workers joined)
 
-  std::atomic<uint64_t> BusyWorkers{0};
-  std::atomic<uint64_t> Latency[LatencyBuckets] = {};
+  uint64_t BusyWorkers = 0;               // Mu
+  uint64_t Latency[LatencyBuckets] = {};  // Mu
   /// Serializes dispatches of non-reentrant engine flavors
   /// (EngineCaps::Reentrant == false, i.e. call-threaded code's static
   /// VM registers): at most one such dispatch runs at a time.

@@ -39,6 +39,7 @@
 #ifndef SC_SERVICE_CLIENT_H
 #define SC_SERVICE_CLIENT_H
 
+#include "metrics/Counters.h"
 #include "service/Channel.h"
 #include "service/Protocol.h"
 #include "support/Rng.h"
@@ -63,17 +64,21 @@ struct RetryPolicy {
 };
 
 /// What a call() spent; cumulative across calls. One client = one
-/// logical caller (not thread-safe; make a client per thread).
-struct ClientStats {
-  uint64_t Calls = 0;
-  uint64_t Attempts = 0;     ///< frames sent (>= Calls)
-  uint64_t Retries = 0;      ///< attempts after the first
-  uint64_t Reconnects = 0;   ///< channel rebuilds
-  uint64_t Timeouts = 0;     ///< attempts that waited out AttemptTimeoutNs
-  uint64_t Rejects = 0;      ///< Reject frames honored
-  uint64_t StaleReplies = 0; ///< mismatched-request-id frames discarded
-  uint64_t DecodeErrors = 0; ///< undecodable reply frames discarded
-  uint64_t Failures = 0;     ///< calls that exhausted their budget
+/// logical caller (not thread-safe; make a client per thread). See
+/// metrics/Counters.h for the field-table form.
+#define SC_CLIENT_STATS(X)                                                     \
+  X(Calls, "calls")                                                            \
+  X(Attempts, "attempts")           /* frames sent (>= Calls) */               \
+  X(Retries, "retries")             /* attempts after the first */             \
+  X(Reconnects, "reconnects")       /* channel rebuilds */                     \
+  X(Timeouts, "timeouts")           /* attempts that waited out the timeout */ \
+  X(Rejects, "rejects")             /* Reject frames honored */                \
+  X(StaleReplies, "stale_replies")  /* mismatched-request-id frames dropped */ \
+  X(DecodeErrors, "decode_errors")  /* undecodable reply frames dropped */     \
+  X(Failures, "failures")           /* calls that exhausted their budget */
+
+struct ClientStats : metrics::CounterSet<ClientStats> {
+  SC_COUNTER_SET(ClientStats, SC_CLIENT_STATS)
 };
 
 class ServiceClient {

@@ -776,28 +776,7 @@ Frame ServiceFrontEnd::migrateCommitReq(const Frame &Req) {
 
 metrics::Json ServiceFrontEnd::statsDocument() const {
   metrics::Json O = metrics::Json::object();
-  metrics::Json Svc = metrics::Json::object();
-  Svc.set("submitted", metrics::Json::number(Stats.Submitted));
-  Svc.set("duplicates", metrics::Json::number(Stats.Duplicates));
-  Svc.set("completed", metrics::Json::number(Stats.Completed));
-  Svc.set("polls", metrics::Json::number(Stats.Polls));
-  Svc.set("cancels", metrics::Json::number(Stats.Cancels));
-  Svc.set("rejected_busy", metrics::Json::number(Stats.RejectedBusy));
-  Svc.set("rejected_saturated",
-          metrics::Json::number(Stats.RejectedSaturated));
-  Svc.set("rejected_degraded",
-          metrics::Json::number(Stats.RejectedDegraded));
-  Svc.set("rejected_closed", metrics::Json::number(Stats.RejectedClosed));
-  Svc.set("errors", metrics::Json::number(Stats.Errors));
-  Svc.set("shard_kills", metrics::Json::number(Stats.ShardKills));
-  Svc.set("jobs_recovered", metrics::Json::number(Stats.JobsRecovered));
-  Svc.set("jobs_recycled", metrics::Json::number(Stats.JobsRecycled));
-  Svc.set("rebalanced", metrics::Json::number(Stats.Rebalanced));
-  Svc.set("migrated_out", metrics::Json::number(Stats.MigratedOut));
-  Svc.set("migrated_in", metrics::Json::number(Stats.MigratedIn));
-  Svc.set("migrations_abandoned",
-          metrics::Json::number(Stats.MigrationsAbandoned));
-  O.set("service", std::move(Svc));
+  O.set("service", metrics::toJson(Stats));
   metrics::Json Sh = metrics::Json::array();
   for (unsigned S = 0; S < Cfg.Shards; ++S) {
     metrics::Json J = sched::snapshotToJson(Shards[S]->snapshot());

@@ -51,6 +51,7 @@
 #ifndef SC_SERVICE_SERVICE_H
 #define SC_SERVICE_SERVICE_H
 
+#include "metrics/Counters.h"
 #include "metrics/Json.h"
 #include "sched/SessionScheduler.h"
 #include "service/Protocol.h"
@@ -134,26 +135,31 @@ const char *serviceConfigErrorName(ServiceConfigError E);
 /// Validates \p Cfg without constructing anything.
 ServiceConfigError validateServiceConfig(const ServiceConfig &Cfg);
 
-/// Control-plane counters, snapshotted under the service lock.
-struct ServiceStats {
-  uint64_t Submitted = 0;  ///< jobs admitted (first time, not duplicates)
-  uint64_t Duplicates = 0; ///< Submit frames that attached to a live or
-                           ///< finished job instead of creating one
-  uint64_t Completed = 0;  ///< results harvested from shards
-  uint64_t Polls = 0;
-  uint64_t Cancels = 0;
-  uint64_t RejectedBusy = 0;      ///< Reject{TenantBusy}
-  uint64_t RejectedSaturated = 0; ///< Reject{ShardSaturated}
-  uint64_t RejectedDegraded = 0;  ///< Reject{ShardDegraded} (incl. down)
-  uint64_t RejectedClosed = 0;    ///< Reject{AdmissionClosed}
-  uint64_t Errors = 0;            ///< Error frames returned
-  uint64_t ShardKills = 0;        ///< killShard() invocations
-  uint64_t JobsRecovered = 0;     ///< jobs rebuilt from checkpoints
-  uint64_t JobsRecycled = 0;      ///< free-list reuses (vs createJob)
-  uint64_t Rebalanced = 0;        ///< cross-shard live-migration moves
-  uint64_t MigratedOut = 0;       ///< jobs extracted for a peer process
-  uint64_t MigratedIn = 0;        ///< adopted jobs activated by commit
-  uint64_t MigrationsAbandoned = 0; ///< extracted jobs re-adopted locally
+/// Control-plane counters, snapshotted under the service lock (see
+/// metrics/Counters.h for the field-table form).
+#define SC_SERVICE_STATS(X)                                                    \
+  X(Submitted, "submitted")   /* jobs admitted (first time, not duplicates) */ \
+  X(Duplicates, "duplicates") /* Submit frames that attached to a live or */   \
+                              /* finished job instead of creating one */       \
+  X(Completed, "completed")   /* results harvested from shards */              \
+  X(Polls, "polls")                                                            \
+  X(Cancels, "cancels")                                                        \
+  X(RejectedBusy, "rejected_busy")           /* Reject{TenantBusy} */          \
+  X(RejectedSaturated, "rejected_saturated") /* Reject{ShardSaturated} */      \
+  X(RejectedDegraded, "rejected_degraded")   /* Reject{ShardDegraded}, down */ \
+  X(RejectedClosed, "rejected_closed")       /* Reject{AdmissionClosed} */     \
+  X(Errors, "errors")                        /* Error frames returned */       \
+  X(ShardKills, "shard_kills")               /* killShard() invocations */     \
+  X(JobsRecovered, "jobs_recovered") /* jobs rebuilt from checkpoints */       \
+  X(JobsRecycled, "jobs_recycled")   /* free-list reuses (vs createJob) */     \
+  X(Rebalanced, "rebalanced")        /* cross-shard live-migration moves */    \
+  X(MigratedOut, "migrated_out")     /* jobs extracted for a peer process */   \
+  X(MigratedIn, "migrated_in")       /* adopted jobs activated by commit */    \
+  X(MigrationsAbandoned, "migrations_abandoned") /* extracted jobs */          \
+                                                 /* re-adopted locally */
+
+struct ServiceStats : metrics::CounterSet<ServiceStats> {
+  SC_COUNTER_SET(ServiceStats, SC_SERVICE_STATS)
 
   uint64_t totalRejected() const {
     return RejectedBusy + RejectedSaturated + RejectedDegraded +

@@ -220,13 +220,6 @@ std::vector<uint8_t> sc::snapshot::serialize(const vm::ExecContext &Ctx,
   return Out;
 }
 
-std::vector<uint8_t> sc::snapshot::serialize(const vm::ExecContext &Ctx,
-                                             const vm::Vm &Machine) {
-  MachineState MS;
-  MS.FuelRemaining = Ctx.MaxSteps;
-  return serialize(Ctx, Machine, MS);
-}
-
 SnapshotError sc::snapshot::readHeader(const uint8_t *Data, size_t N,
                                        SnapshotHeader &H) {
   // Layout gates first, cheapest to most expensive; no field is trusted

@@ -120,13 +120,9 @@ struct SnapshotHeader {
 void serializeInto(std::vector<uint8_t> &Out, const vm::ExecContext &Ctx,
                    const vm::Vm &Machine, const MachineState &MS);
 
-/// Convenience wrapper returning a fresh buffer. The two-argument form
-/// snapshots a not-yet-started machine: PC 0 and the context's current
-/// MaxSteps as the remaining fuel.
+/// Convenience wrapper returning a fresh buffer.
 std::vector<uint8_t> serialize(const vm::ExecContext &Ctx,
                                const vm::Vm &Machine, const MachineState &MS);
-std::vector<uint8_t> serialize(const vm::ExecContext &Ctx,
-                               const vm::Vm &Machine);
 
 /// Validates the buffer layout end to end — magic, format version, total
 /// length, section lengths, checksum, field consistency — and decodes the

@@ -13,20 +13,6 @@ using namespace sc;
 using namespace sc::superinst;
 using namespace sc::vm;
 
-bool sc::superinst::isSuperinstruction(Opcode Op) {
-  switch (Op) {
-  case Opcode::LitAdd:
-  case Opcode::LitSub:
-  case Opcode::LitLt:
-  case Opcode::LitEq:
-  case Opcode::LitFetch:
-  case Opcode::LitStore:
-    return true;
-  default:
-    return false;
-  }
-}
-
 /// The consumer half of a fusable pair, or Nop if not fusable.
 static Opcode fusedOpcode(Opcode Consumer) {
   switch (Consumer) {

@@ -41,9 +41,6 @@ struct CombineResult {
 /// one superinstruction; branch targets and the word table are remapped.
 CombineResult combineSuperinstructions(const vm::Code &Prog);
 
-/// True if \p Op is one of the synthesized superinstructions.
-bool isSuperinstruction(vm::Opcode Op);
-
 } // namespace sc::superinst
 
 #endif // SC_SUPERINST_SUPERINST_H

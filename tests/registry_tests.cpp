@@ -242,9 +242,11 @@ TEST(Registry, DeprecatedForwardersStayDeleted) {
 
   // Deleted spellings must not creep back in: the old registry
   // forwarders, the pre-JobTicket raw-pair alias, the reference-subset
-  // enumeration beside engine::EngineId, and the single-shot entry family
+  // enumeration beside engine::EngineId, the single-shot entry family
   // (with its header and the context scratch it translated into) that
-  // engine::runEngine replaced with prepare::runPrepared.
+  // engine::runEngine replaced with prepare::runPrepared, the scheduler's
+  // atomic counter mirror and the hand-written counter serializers that
+  // the field tables replaced, and two helpers nothing called.
   const char *const Banned[] = {
       "dispatch::engineName(",
       "dispatch::runEngine(",
@@ -259,6 +261,12 @@ TEST(Registry, DeprecatedForwardersStayDeleted) {
       "runCallThreadedEngine",
       "runDynamic3Engine",
       "runRegEngine",
+      "TenantStats",
+      "sessionCountersToJson",
+      "prepareCountersToJson",
+      "tierCountersToJson",
+      "runInPlace",
+      "isSuperinstruction",
   };
 
   unsigned Scanned = 0;

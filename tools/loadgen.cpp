@@ -29,6 +29,7 @@
 
 #include "forth/Forth.h"
 #include "metrics/Reporter.h"
+#include "metrics/Timing.h"
 #include "prepare/PrepareCache.h"
 #include "service/Client.h"
 #include "service/Server.h"
@@ -185,13 +186,6 @@ private:
   uint64_t Conns = 0;
   std::vector<std::thread> Threads;
 };
-
-uint64_t percentileNs(std::vector<uint64_t> &Sorted, unsigned P) {
-  if (Sorted.empty())
-    return 0;
-  const size_t Idx = (Sorted.size() - 1) * P / 100;
-  return Sorted[Idx];
-}
 
 std::atomic<uint64_t> JobsDone{0};
 std::atomic<bool> Failed{false};
@@ -532,20 +526,12 @@ int main(int Argc, char **Argv) {
   ClientStats CS;
   for (const WorkerOut &O : Outs) {
     Lat.insert(Lat.end(), O.LatenciesNs.begin(), O.LatenciesNs.end());
-    CS.Calls += O.Stats.Calls;
-    CS.Attempts += O.Stats.Attempts;
-    CS.Retries += O.Stats.Retries;
-    CS.Reconnects += O.Stats.Reconnects;
-    CS.Timeouts += O.Stats.Timeouts;
-    CS.Rejects += O.Stats.Rejects;
-    CS.StaleReplies += O.Stats.StaleReplies;
-    CS.DecodeErrors += O.Stats.DecodeErrors;
-    CS.Failures += O.Stats.Failures;
+    CS += O.Stats;
   }
   std::sort(Lat.begin(), Lat.end());
-  const uint64_t P50 = percentileNs(Lat, 50);
-  const uint64_t P90 = percentileNs(Lat, 90);
-  const uint64_t P99 = percentileNs(Lat, 99);
+  const uint64_t P50 = metrics::percentileOf(Lat, 50);
+  const uint64_t P90 = metrics::percentileOf(Lat, 90);
+  const uint64_t P99 = metrics::percentileOf(Lat, 99);
   const uint64_t SubmitFrames = S.Submitted + S.Duplicates + S.totalRejected();
   const double ShedRate =
       SubmitFrames ? static_cast<double>(S.totalRejected()) /
