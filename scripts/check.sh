@@ -17,11 +17,12 @@
 #
 # --service-smoke builds only the loadgen tool in an existing (or fresh)
 # build dir and drives the execution service end to end: a clean local
-# run, a local run under transport chaos plus shard kills, and a real-
-# socket run under the same storm. loadgen self-asserts exactly-once
-# delivery and field-for-field result equality against unchaosed
-# reference runs, so any drop/duplicate/corruption that leaks through
-# fails the script. CI runs this in the release and TSan legs.
+# run, a local run under transport chaos plus shard kills, a real-
+# socket run under the same storm, and the rebalancer and cross-process
+# migration, alone and racing each other under chaos. loadgen
+# self-asserts exactly-once delivery and field-for-field result equality
+# against unchaosed reference runs, so any drop/duplicate/corruption
+# that leaks through fails the script. CI runs this in the release and TSan legs.
 set -euo pipefail
 
 MODE=full
@@ -125,6 +126,9 @@ elif [ "$MODE" = service-smoke ]; then
   echo "==== service smoke: cross-process migration under chaos + kills"
   "$BUILD"/tools/loadgen --jobs 400 --clients 3 --peer --chaos > /dev/null
   echo "chaos migration held (torn commits resolved exactly once)"
+  echo "==== service smoke: rebalancing and peer migration racing under chaos"
+  "$BUILD"/tools/loadgen --jobs 400 --clients 3 --migrate --peer --chaos > /dev/null
+  echo "rebalance + migration race held (every record settled exactly once)"
 elif [ "$MODE" = sanitize ]; then
   if [ "$SAN_KINDS" = thread ]; then
     BUILD="${1:-build-tsan}"

@@ -40,23 +40,6 @@ Counters &Counters::operator+=(const Counters &O) {
   return *this;
 }
 
-bool sc::metrics::operator==(const Counters &A, const Counters &B) {
-  for (unsigned I = 0; I < vm::NumOpcodes; ++I)
-    if (A.Dispatch[I] != B.Dispatch[I])
-      return false;
-  for (unsigned I = 0; I < OccupancyStates; ++I)
-    if (A.Occupancy[I] != B.Occupancy[I])
-      return false;
-  for (unsigned I = 0; I < vm::NumRunStatuses; ++I)
-    if (A.Traps[I] != B.Traps[I])
-      return false;
-  return A.CacheOverflows == B.CacheOverflows &&
-         A.CacheUnderflows == B.CacheUnderflows &&
-         A.ReconcileLoads == B.ReconcileLoads &&
-         A.ReconcileStores == B.ReconcileStores &&
-         A.ReconcileMoves == B.ReconcileMoves;
-}
-
 std::string sc::metrics::formatSessionCounters(const SessionCounters &C) {
   std::string Out;
   char Buf[160];

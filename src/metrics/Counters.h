@@ -92,13 +92,8 @@ struct Counters {
   /// Field-for-field accumulation (for aggregating across runs).
   Counters &operator+=(const Counters &O);
 
-  friend bool operator==(const Counters &A, const Counters &B);
-  friend bool operator!=(const Counters &A, const Counters &B) {
-    return !(A == B);
-  }
+  friend bool operator==(const Counters &, const Counters &) = default;
 };
-
-bool operator==(const Counters &A, const Counters &B);
 
 /// Records one dispatch in a non-caching engine (occupancy bucket 0).
 inline void noteDispatch(Counters &C, vm::Opcode Op) {

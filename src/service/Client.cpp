@@ -192,12 +192,9 @@ bool ServiceClient::submit(const JobTicket &T, const std::string &Source,
   return call(Req, Resp, OpDeadlineNs);
 }
 
-bool ServiceClient::awaitResult(const JobTicket &T, Frame &Resp,
-                                uint64_t OpDeadlineNs) {
+bool ServiceClient::pollUntilResult(const Frame &Req, Frame &Resp,
+                                    uint64_t OpDeadlineNs) {
   const uint64_t Start = nowNs();
-  Frame Req;
-  Req.Type = FrameType::PollReq;
-  Req.setTicket(T);
   for (;;) {
     uint64_t Budget = 0;
     if (OpDeadlineNs) {
@@ -211,11 +208,19 @@ bool ServiceClient::awaitResult(const JobTicket &T, Frame &Resp,
     if (Resp.Type == FrameType::Result)
       return true;
     if (Resp.Type != FrameType::Pending)
-      return false; // a typed refusal; Resp says why
+      return false; // a typed refusal (Error or Reject); Resp says why
     const uint64_t Sleep =
         Policy.PollIntervalNs / 2 + Jitter.below(Policy.PollIntervalNs / 2 + 1);
     std::this_thread::sleep_for(std::chrono::nanoseconds(Sleep));
   }
+}
+
+bool ServiceClient::awaitResult(const JobTicket &T, Frame &Resp,
+                                uint64_t OpDeadlineNs) {
+  Frame Req;
+  Req.Type = FrameType::PollReq;
+  Req.setTicket(T);
+  return pollUntilResult(Req, Resp, OpDeadlineNs);
 }
 
 bool ServiceClient::cancel(const JobTicket &T, Frame &Resp) {
@@ -246,31 +251,13 @@ bool ServiceClient::offerMigration(const Frame &Offer, Frame &Resp,
 
 bool ServiceClient::commitMigration(const JobTicket &T, Frame &Resp,
                                     uint64_t OpDeadlineNs) {
-  const uint64_t Start = nowNs();
+  // MigrateCommit is idempotent on the ticket: the first one activates,
+  // every later one polls. So this is awaitResult with commit frames —
+  // re-sending never double-runs the job.
   Frame Req;
   Req.Type = FrameType::MigrateCommit;
   Req.setTicket(T);
-  // MigrateCommit is idempotent on the ticket: the first one activates,
-  // every later one polls. So this loop is awaitResult with commit
-  // frames — re-sending never double-runs the job.
-  for (;;) {
-    uint64_t Budget = 0;
-    if (OpDeadlineNs) {
-      const uint64_t Elapsed = nowNs() - Start;
-      if (Elapsed >= OpDeadlineNs)
-        return false;
-      Budget = OpDeadlineNs - Elapsed;
-    }
-    if (!call(Req, Resp, Budget))
-      return false;
-    if (Resp.Type == FrameType::Result)
-      return true;
-    if (Resp.Type != FrameType::Pending)
-      return false; // Error or Reject; Resp says why
-    const uint64_t Sleep =
-        Policy.PollIntervalNs / 2 + Jitter.below(Policy.PollIntervalNs / 2 + 1);
-    std::this_thread::sleep_for(std::chrono::nanoseconds(Sleep));
-  }
+  return pollUntilResult(Req, Resp, OpDeadlineNs);
 }
 
 MigrateOutcome sc::service::migrateJob(ServiceFrontEnd &Source,

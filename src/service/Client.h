@@ -138,6 +138,10 @@ private:
   /// reply in \p Resp, 0 = timeout, -1 = transport dead.
   int awaitReply(uint64_t Id, Frame &Resp, uint64_t TimeoutNs);
   void backoff(unsigned Attempt, uint64_t HintNs, uint64_t BudgetNs);
+  /// Re-sends the idempotent \p Req (a Poll, or a MigrateCommit) every
+  /// jittered PollIntervalNs while the answer is Pending. True on Result;
+  /// false on any other reply (Resp says why) or a spent deadline.
+  bool pollUntilResult(const Frame &Req, Frame &Resp, uint64_t OpDeadlineNs);
 
   Connector Connect;
   RetryPolicy Policy;

@@ -225,20 +225,6 @@ const char *sc::service::frameTypeName(FrameType T) {
   sc::unreachable("bad frame type");
 }
 
-const char *sc::service::rejectCodeName(RejectCode C) {
-  switch (C) {
-  case RejectCode::TenantBusy:
-    return "tenant-busy";
-  case RejectCode::ShardSaturated:
-    return "shard-saturated";
-  case RejectCode::ShardDegraded:
-    return "shard-degraded";
-  case RejectCode::AdmissionClosed:
-    return "admission-closed";
-  }
-  sc::unreachable("bad reject code");
-}
-
 uint64_t sc::service::frameChecksum(const uint8_t *Data, size_t N) {
   uint64_t H = 0xcbf29ce484222325ULL;
   for (size_t I = 0; I < N; ++I) {

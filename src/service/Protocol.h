@@ -142,8 +142,6 @@ enum class RejectCode : uint8_t {
   AdmissionClosed = 4, ///< drain/shutdown in progress
 };
 
-const char *rejectCodeName(RejectCode C);
-
 /// Protocol caps: a hostile 12-byte prefix cannot demand unbounded
 /// allocation. Program sources and outputs above these are refused.
 inline constexpr uint32_t MaxFrameBytes = 1u << 22;

@@ -35,6 +35,23 @@ struct ServiceFrontEnd::Program {
                            ///< ships it so a peer can recompile)
 };
 
+namespace {
+
+/// Where a JobRecord is in its life; DESIGN.md §14 tabulates the
+/// transitions.
+enum class Phase : uint8_t {
+  Live,       ///< J runs (or waits) on Shard
+  Moving,     ///< live, but the rebalancer's cancel is draining it;
+              ///< sweepShard re-places it on MoveTarget once it settles
+  Extracting, ///< extractForMigration owns the settling job; sweep keeps
+              ///< its hands off
+  Escrowed,   ///< migrated out to a peer: no job here, EscrowCkpt kept
+              ///< until completeMigration / abandonMigration
+  Done,       ///< Result is final
+};
+
+} // namespace
+
 /// The service-side life of one JobTicket: where the job lives, what it
 /// would take to rebuild it, and — once finished — its final Result
 /// frame. Records are never deleted (they ARE the idempotency memory);
@@ -43,27 +60,28 @@ struct ServiceFrontEnd::Program {
 struct ServiceFrontEnd::JobRecord {
   JobTicket Ticket;
   unsigned Shard = 0;
-  sched::Job *J = nullptr; ///< null once harvested or migrated out
+  sched::Job *J = nullptr; ///< set exactly while Live, Moving or Extracting
+  size_t LiveSlot = 0;     ///< index in LiveRecs[Shard] while J is set
   Program *Prog = nullptr;
   uint8_t Engine = 0;
   sched::JobSpec Spec; ///< for re-creation after a shard kill
   std::string Word;    ///< entry word name (travels with an offer)
+  /// The client's cancel; independent of the phase, re-applied to every
+  /// job the record is given.
   bool CancelRequested = false;
-  bool DoneHarvested = false;
-  /// Cross-shard rebalancing: set by maybeRebalance together with a
-  /// cancel; sweepShard executes the move once the victim settles at its
-  /// slice boundary.
-  bool MoveRequested = false;
-  unsigned MoveTarget = 0;
-  /// Cross-process migration: ExtractPending while extractForMigration
-  /// owns the settling job (sweep keeps its hands off); MigratedOut once
-  /// the job left for a peer (polls answer Pending until
-  /// completeMigration / abandonMigration resolves it).
-  bool ExtractPending = false;
-  bool MigratedOut = false;
-  std::vector<uint8_t> EscrowCkpt; ///< extract's checkpoint, kept so a
-                                   ///< torn migration can be abandoned
-  Frame Result; ///< valid once DoneHarvested
+  Phase Ph = Phase::Live;
+  unsigned MoveTarget = 0;          ///< Moving: the shard it drains to
+  std::vector<uint8_t> EscrowCkpt;  ///< Escrowed: extract's checkpoint,
+                                    ///< kept so a torn migration can be
+                                    ///< abandoned
+  Frame Result;                     ///< Done: the final Result frame
+
+  /// True when J settled because the service's own cancel (rebalance,
+  /// extraction or shard kill) drained it — not a real completion.
+  bool drainedByService() const {
+    return J->result().Stop == session::StopKind::Cancelled &&
+           !CancelRequested;
+  }
 };
 
 /// One job a peer offered us: everything needed to admit it, parked
@@ -114,7 +132,6 @@ ServiceFrontEnd::ServiceFrontEnd(ServiceConfig Config) : Cfg(Config) {
     Cfg.Cache = &prepare::globalPrepareCache();
   Shards.resize(Cfg.Shards);
   ShardDown.assign(Cfg.Shards, 0);
-  ShardLive.assign(Cfg.Shards, 0);
   ShardMigrationsIn.assign(Cfg.Shards, 0);
   ShardMigrationsOut.assign(Cfg.Shards, 0);
   ShardTenants.resize(Cfg.Shards);
@@ -212,6 +229,132 @@ Frame ServiceFrontEnd::resultFrame(const Frame &Req,
   return F;
 }
 
+Frame ServiceFrontEnd::pendingFrame(const Frame &Req,
+                                    const JobRecord &R) const {
+  Frame F;
+  F.Type = FrameType::Pending;
+  F.RequestId = Req.RequestId;
+  F.Token = Req.Token;
+  F.JobStateVal = R.J && !ShardDown[R.Shard]
+                      ? static_cast<uint8_t>(R.J->state())
+                      : static_cast<uint8_t>(sched::JobState::Queued);
+  return F;
+}
+
+//===----------------------------------------------------------------------===//
+// Record lifecycle: admit, release, settle
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The Result frame of a job that settled (Token and RequestId are
+/// stamped by settle).
+Frame harvest(const sched::Job &J) {
+  const session::SessionResult &A = J.result();
+  Frame F;
+  F.Type = FrameType::Result;
+  F.Stop = static_cast<uint8_t>(A.Stop);
+  F.Status = static_cast<uint8_t>(A.Outcome.Status);
+  F.Steps = A.Outcome.Steps;
+  F.Slices = A.Slices;
+  F.Output = J.machine().Out;
+  return F;
+}
+
+} // namespace
+
+sched::SubmitResult ServiceFrontEnd::admit(JobRecord &R, unsigned S,
+                                           const std::vector<uint8_t> &Ckpt) {
+  SC_ASSERT(!ShardDown[S] && !ShuttingDown, "admitting onto a dead shard");
+  SC_ASSERT(!R.J, "record still owns a job");
+  const sched::TenantId T = shardTenant(S, R.Ticket.Tenant);
+  sched::Job *J = obtainJob(S, *R.Prog,
+                            static_cast<engine::EngineId>(R.Engine), T,
+                            R.Spec);
+  if (!Ckpt.empty()) {
+    // Offers are validated against the program before they are accepted
+    // and every other checkpoint was harvested here, so this cannot fail.
+    const snapshot::SnapshotError E =
+        Shards[S]->adoptCheckpoint(J, Ckpt.data(), Ckpt.size());
+    SC_ASSERT(E == snapshot::SnapshotError::None,
+              "a validated checkpoint failed to restore");
+  }
+  const sched::SubmitResult SR = Shards[S]->submit(J);
+  if (SR != sched::SubmitResult::Admitted) {
+    // The job never ran: park it for the next submission of this
+    // (program, engine, tenant) instead of leaking it.
+    FreeJobs[S][FreeKey{R.Prog->Identity, R.Engine, T}].push_back(J);
+    return SR;
+  }
+  if (R.CancelRequested)
+    J->cancel();
+  R.J = J;
+  R.Shard = S;
+  R.LiveSlot = LiveRecs[S].size();
+  LiveRecs[S].push_back(&R);
+  if (R.Ph != Phase::Extracting)
+    R.Ph = Phase::Live;
+  return SR;
+}
+
+void ServiceFrontEnd::placeRecord(JobRecord &R, unsigned To,
+                                  const std::vector<uint8_t> &Ckpt) {
+  const sched::SubmitResult SR = admit(R, To, Ckpt);
+  SC_ASSERT(SR == sched::SubmitResult::Admitted,
+            "re-admission cannot bounce: queue capacity covers the "
+            "in-flight cap");
+}
+
+ServiceFrontEnd::JobRecord *
+ServiceFrontEnd::admitNew(const Frame &Job, Program &P, unsigned S,
+                          const std::vector<uint8_t> &Ckpt,
+                          RejectCode &Bounce) {
+  const vm::Word *W = P.Sys->Prog.findWord(Job.Word);
+  SC_ASSERT(W, "admitting an unvalidated entry word");
+  auto Rec = std::make_unique<JobRecord>();
+  Rec->Ticket = Job.ticket();
+  Rec->Prog = &P;
+  Rec->Engine = Job.Engine;
+  Rec->Spec.Entry = W->Entry;
+  Rec->Spec.FuelSteps = Job.FuelSteps;
+  Rec->Spec.Deadline = std::chrono::nanoseconds(Job.DeadlineNs);
+  Rec->Word = Job.Word;
+  const sched::SubmitResult SR = admit(*Rec, S, Ckpt);
+  if (SR != sched::SubmitResult::Admitted) {
+    Bounce = SR == sched::SubmitResult::Rejected ? RejectCode::ShardSaturated
+                                                 : RejectCode::AdmissionClosed;
+    return nullptr;
+  }
+  ++InFlight[Job.Tenant];
+  JobRecord *Raw = Rec.get();
+  Records.emplace(Raw->Ticket, std::move(Rec));
+  return Raw;
+}
+
+void ServiceFrontEnd::release(JobRecord &R) {
+  const unsigned S = R.Shard;
+  FreeJobs[S][FreeKey{R.Prog->Identity, R.Engine,
+                      ShardTenants[S].at(R.Ticket.Tenant)}]
+      .push_back(R.J);
+  R.J = nullptr;
+  std::vector<JobRecord *> &Recs = LiveRecs[S];
+  Recs[R.LiveSlot] = Recs.back();
+  Recs[R.LiveSlot]->LiveSlot = R.LiveSlot;
+  Recs.pop_back();
+}
+
+void ServiceFrontEnd::settle(JobRecord &R, Frame Result) {
+  Result.Type = FrameType::Result;
+  Result.RequestId = 0;
+  Result.Token = R.Ticket.Token;
+  R.Result = std::move(Result);
+  R.Ph = Phase::Done;
+  R.EscrowCkpt = {};
+  SC_ASSERT(InFlight[R.Ticket.Tenant] > 0, "in-flight underflow");
+  --InFlight[R.Ticket.Tenant];
+  ++Stats.Completed;
+}
+
 //===----------------------------------------------------------------------===//
 // Harvest / job pool
 //===----------------------------------------------------------------------===//
@@ -220,106 +363,51 @@ void ServiceFrontEnd::sweepShard(unsigned S) {
   SC_ASSERT(!ShardDown[S], "sweep of a dying shard");
   std::vector<JobRecord *> &Recs = LiveRecs[S];
   for (size_t I = 0; I < Recs.size();) {
-    JobRecord *R = Recs[I];
-    if (R->ExtractPending) {
-      // extractForMigration owns this record's settling; harvesting it
-      // here would race the extract loop's checkpoint grab.
+    JobRecord &R = *Recs[I];
+    // An extracting record's settling belongs to the extract loop;
+    // harvesting it here would race its checkpoint grab.
+    if (R.Ph == Phase::Extracting ||
+        R.J->state() != sched::JobState::Done) {
       ++I;
       continue;
     }
-    if (R->J->state() != sched::JobState::Done) {
-      ++I;
-      continue;
-    }
-    const session::SessionResult &A = R->J->result();
-    if (R->MoveRequested && !R->CancelRequested &&
-        A.Stop == session::StopKind::Cancelled && !ShuttingDown) {
+    if (R.Ph == Phase::Moving && R.drainedByService() && !ShuttingDown) {
       // Not a real completion: the rebalancer's cancel drained this job
       // at its slice boundary. Re-admit it from its checkpoint on the
       // chosen target (or back here if that shard died meanwhile) —
       // adoptCheckpoint restores retired-step accounting, so the final
       // result is field-for-field the unmigrated run's.
-      const unsigned To = ShardDown[R->MoveTarget] ? S : R->MoveTarget;
-      const std::vector<uint8_t> Ckpt = R->J->session().lastCheckpoint();
-      FreeJobs[S][FreeKey{R->Prog->Identity, R->Engine,
-                          ShardTenants[S].at(R->Ticket.Tenant)}]
-          .push_back(R->J);
-      R->J = nullptr;
-      R->MoveRequested = false;
-      SC_ASSERT(ShardLive[S] > 0, "shard-live underflow");
-      --ShardLive[S];
-      placeRecord(*R, To, Ckpt);
+      const unsigned To = ShardDown[R.MoveTarget] ? S : R.MoveTarget;
+      const std::vector<uint8_t> Ckpt = R.J->session().lastCheckpoint();
+      release(R);
+      placeRecord(R, To, Ckpt);
       if (To != S) {
         ++Stats.Rebalanced;
         ++ShardMigrationsOut[S];
         ++ShardMigrationsIn[To];
       }
-      Recs[I] = Recs.back();
-      Recs.pop_back();
-      continue;
+      continue; // release moved another record into slot I
     }
-    R->Result.Type = FrameType::Result;
-    R->Result.Token = R->Ticket.Token;
-    R->Result.Stop = static_cast<uint8_t>(A.Stop);
-    R->Result.Status = static_cast<uint8_t>(A.Outcome.Status);
-    R->Result.Steps = A.Outcome.Steps;
-    R->Result.Slices = A.Slices;
-    R->Result.Output = R->J->machine().Out;
-    R->DoneHarvested = true;
-    FreeJobs[S][FreeKey{R->Prog->Identity, R->Engine,
-                        ShardTenants[S].at(R->Ticket.Tenant)}]
-        .push_back(R->J);
-    R->J = nullptr;
-    R->MoveRequested = false;
-    SC_ASSERT(InFlight[R->Ticket.Tenant] > 0, "in-flight underflow");
-    --InFlight[R->Ticket.Tenant];
-    SC_ASSERT(ShardLive[S] > 0, "shard-live underflow");
-    --ShardLive[S];
-    ++Stats.Completed;
-    Recs[I] = Recs.back();
-    Recs.pop_back();
+    settle(R, harvest(*R.J));
+    release(R);
   }
-}
-
-void ServiceFrontEnd::placeRecord(JobRecord &R, unsigned To,
-                                  const std::vector<uint8_t> &Ckpt) {
-  SC_ASSERT(!ShardDown[To] && !ShuttingDown, "placing a job on a dead shard");
-  SC_ASSERT(!R.J, "record still owns a job");
-  const sched::TenantId T = shardTenant(To, R.Ticket.Tenant);
-  sched::Job *J = obtainJob(To, *R.Prog,
-                            static_cast<engine::EngineId>(R.Engine), T,
-                            R.Spec);
-  if (!Ckpt.empty()) {
-    const snapshot::SnapshotError E =
-        Shards[To]->adoptCheckpoint(J, Ckpt.data(), Ckpt.size());
-    SC_ASSERT(E == snapshot::SnapshotError::None,
-              "a checkpoint the service harvested failed to restore");
-  }
-  const sched::SubmitResult SR = Shards[To]->submit(J);
-  SC_ASSERT(SR == sched::SubmitResult::Admitted,
-            "migration re-admission cannot bounce: queue capacity covers "
-            "the in-flight cap");
-  if (R.CancelRequested)
-    J->cancel();
-  R.J = J;
-  R.Shard = To;
-  LiveRecs[To].push_back(&R);
-  ++ShardLive[To];
 }
 
 void ServiceFrontEnd::maybeRebalance() {
   if (!Cfg.Rebalance || ShuttingDown || Cfg.Shards < 2)
     return;
   // Effective live count: jobs already marked to move count against
-  // their TARGET, not their current home. Raw ShardLive would keep the
+  // their TARGET, not their current home. The raw count would keep the
   // gap wide for the whole drain window (a mark only clears at the
   // victim's next slice boundary), and this runs on every submit and
   // poll — without the correction each call marks another batch and the
   // entire queue ping-pongs between shards.
-  std::vector<uint64_t> Eff(ShardLive.begin(), ShardLive.end());
+  std::vector<uint64_t> Eff(Cfg.Shards);
+  for (unsigned S = 0; S < Cfg.Shards; ++S)
+    Eff[S] = LiveRecs[S].size();
   for (unsigned S = 0; S < Cfg.Shards; ++S)
     for (const JobRecord *R : LiveRecs[S])
-      if (R->MoveRequested && R->MoveTarget != S && Eff[S] > 0) {
+      if (R->Ph == Phase::Moving && R->MoveTarget != S && Eff[S] > 0) {
         --Eff[S];
         ++Eff[R->MoveTarget];
       }
@@ -344,19 +432,20 @@ void ServiceFrontEnd::maybeRebalance() {
   if (Eff[Hot] < Eff[Cold] + Cfg.RebalanceMinGap)
     return;
   // Mark victims: cancel drains each at its next slice boundary, and
-  // sweepShard moves it when it settles. Never touch jobs a client
-  // cancelled, jobs already moving, or jobs mid-extraction. Cap the
-  // batch at half the gap — each move swings the gap by two, so more
-  // would overshoot the balance point and invite a reverse move.
+  // sweepShard moves it when it settles. Only plain live jobs qualify —
+  // never one a client cancelled, one already moving, or one
+  // mid-extraction. Cap the batch at half the gap — each move swings the
+  // gap by two, so more would overshoot the balance point and invite a
+  // reverse move.
   const uint64_t Batch =
       std::min<uint64_t>(Cfg.RebalanceBatch, (Eff[Hot] - Eff[Cold]) / 2);
   uint64_t Marked = 0;
   for (JobRecord *R : LiveRecs[Hot]) {
     if (Marked >= Batch)
       break;
-    if (R->CancelRequested || R->MoveRequested || R->ExtractPending || !R->J)
+    if (R->Ph != Phase::Live || R->CancelRequested)
       continue;
-    R->MoveRequested = true;
+    R->Ph = Phase::Moving;
     R->MoveTarget = Cold;
     R->J->cancel();
     ++Marked;
@@ -380,6 +469,33 @@ ServiceFrontEnd::getProgram(const std::string &Source, std::string &Err) {
   Program *Raw = P.get();
   Programs.emplace(Source, std::move(P));
   return Raw;
+}
+
+ServiceFrontEnd::Program *ServiceFrontEnd::validateJob(const Frame &Req,
+                                                       Frame &Err) {
+  if (Req.Engine >= engine::NumEngineIds) {
+    Err = errorFrame(Req, ServiceError::BadEngine, "engine id out of range");
+    return nullptr;
+  }
+  const auto E = static_cast<engine::EngineId>(Req.Engine);
+  if (!engine::engineInfo(E).Caps.Reentrant) {
+    Err = errorFrame(Req, ServiceError::BadEngine,
+                     std::string(engine::engineName(E)) +
+                         " is not reentrant; a sharded service cannot "
+                         "serialize it process-wide");
+    return nullptr;
+  }
+  std::string CompileErr;
+  Program *P = getProgram(Req.Source, CompileErr);
+  if (!P) {
+    Err = errorFrame(Req, ServiceError::CompileFailed, CompileErr);
+    return nullptr;
+  }
+  if (!P->Sys->Prog.findWord(Req.Word)) {
+    Err = errorFrame(Req, ServiceError::BadWord, "no such word: " + Req.Word);
+    return nullptr;
+  }
+  return P;
 }
 
 sched::Job *ServiceFrontEnd::obtainJob(unsigned S, Program &P,
@@ -449,7 +565,7 @@ Frame ServiceFrontEnd::submitReq(const Frame &Req) {
   if (RecIt != Records.end()) {
     JobRecord &R = *RecIt->second;
     ++Stats.Duplicates;
-    if (R.DoneHarvested)
+    if (R.Ph == Phase::Done)
       return resultFrame(Req, R);
     Frame F;
     F.Type = FrameType::SubmitAck;
@@ -466,57 +582,16 @@ Frame ServiceFrontEnd::submitReq(const Frame &Req) {
     return rejectFrame(Req, RejectCode::ShardDegraded);
   if (InFlight[Req.Tenant] >= Cfg.MaxInFlightPerTenant)
     return rejectFrame(Req, RejectCode::TenantBusy);
-  if (ShardLive[S] >= Cfg.ShardHighWater)
+  if (LiveRecs[S].size() >= Cfg.ShardHighWater)
     return rejectFrame(Req, RejectCode::ShardDegraded);
 
-  if (Req.Engine >= engine::NumEngineIds)
-    return errorFrame(Req, ServiceError::BadEngine,
-                      "engine id out of range");
-  const auto E = static_cast<engine::EngineId>(Req.Engine);
-  if (!engine::engineInfo(E).Caps.Reentrant)
-    return errorFrame(Req, ServiceError::BadEngine,
-                      std::string(engine::engineName(E)) +
-                          " is not reentrant; a sharded service cannot "
-                          "serialize it process-wide");
-
-  std::string CompileErr;
-  Program *P = getProgram(Req.Source, CompileErr);
+  Frame Err;
+  Program *P = validateJob(Req, Err);
   if (!P)
-    return errorFrame(Req, ServiceError::CompileFailed, CompileErr);
-  const vm::Word *W = P->Sys->Prog.findWord(Req.Word);
-  if (!W)
-    return errorFrame(Req, ServiceError::BadWord,
-                      "no such word: " + Req.Word);
-
-  sched::JobSpec Spec;
-  Spec.Entry = W->Entry;
-  Spec.FuelSteps = Req.FuelSteps;
-  Spec.Deadline = std::chrono::nanoseconds(Req.DeadlineNs);
-  const sched::TenantId T = shardTenant(S, Req.Tenant);
-  sched::Job *J = obtainJob(S, *P, E, T, Spec);
-
-  const sched::SubmitResult SR = Shards[S]->submit(J);
-  if (SR != sched::SubmitResult::Admitted) {
-    // The job never ran: park it for the next submission of this
-    // (program, engine, tenant) instead of leaking it.
-    FreeJobs[S][FreeKey{P->Identity, Req.Engine, T}].push_back(J);
-    return rejectFrame(Req, SR == sched::SubmitResult::Rejected
-                                ? RejectCode::ShardSaturated
-                                : RejectCode::AdmissionClosed);
-  }
-
-  auto Rec = std::make_unique<JobRecord>();
-  Rec->Ticket = Key;
-  Rec->Shard = S;
-  Rec->J = J;
-  Rec->Prog = P;
-  Rec->Engine = Req.Engine;
-  Rec->Spec = Spec;
-  Rec->Word = Req.Word;
-  LiveRecs[S].push_back(Rec.get());
-  Records.emplace(Key, std::move(Rec));
-  ++InFlight[Req.Tenant];
-  ++ShardLive[S];
+    return Err;
+  RejectCode Bounce;
+  if (!admitNew(Req, *P, S, {}, Bounce))
+    return rejectFrame(Req, Bounce);
   ++Stats.Submitted;
 
   Frame F;
@@ -528,28 +603,23 @@ Frame ServiceFrontEnd::submitReq(const Frame &Req) {
   return F;
 }
 
+Frame ServiceFrontEnd::pollRecord(const Frame &Req, JobRecord &R) {
+  if (R.Ph != Phase::Done && !ShardDown[R.Shard]) {
+    sweepShard(R.Shard);
+    maybeRebalance();
+  }
+  if (R.Ph == Phase::Done)
+    return resultFrame(Req, R);
+  return pendingFrame(Req, R);
+}
+
 Frame ServiceFrontEnd::pollReq(const Frame &Req) {
   ++Stats.Polls;
   auto It = Records.find(Req.ticket());
   if (It == Records.end())
     return errorFrame(Req, ServiceError::UnknownJob,
                       "no job for this ticket");
-  JobRecord &R = *It->second;
-  if (!R.DoneHarvested && !ShardDown[R.Shard]) {
-    sweepShard(R.Shard);
-    maybeRebalance();
-  }
-  if (R.DoneHarvested)
-    return resultFrame(Req, R);
-  Frame F;
-  F.Type = FrameType::Pending;
-  F.RequestId = Req.RequestId;
-  F.Token = Req.Token;
-  // While the shard is being rebuilt the job is logically queued.
-  F.JobStateVal = R.J && !ShardDown[R.Shard]
-                      ? static_cast<uint8_t>(R.J->state())
-                      : static_cast<uint8_t>(sched::JobState::Queued);
-  return F;
+  return pollRecord(Req, *It->second);
 }
 
 Frame ServiceFrontEnd::cancelReq(const Frame &Req) {
@@ -559,19 +629,15 @@ Frame ServiceFrontEnd::cancelReq(const Frame &Req) {
     return errorFrame(Req, ServiceError::UnknownJob,
                       "no job for this ticket");
   JobRecord &R = *It->second;
-  if (R.DoneHarvested)
+  if (R.Ph == Phase::Done)
     return resultFrame(Req, R); // finished first; cancellation lost the race
   R.CancelRequested = true;
   if (R.J && !ShardDown[R.Shard])
     R.J->cancel();
-  // else: the shard is mid-rebuild; killShard re-applies the flag to the
-  // revived job.
-  Frame F;
-  F.Type = FrameType::Pending;
-  F.RequestId = Req.RequestId;
-  F.Token = Req.Token;
-  F.JobStateVal = static_cast<uint8_t>(sched::JobState::Queued);
-  return F;
+  // else: the shard is mid-rebuild (killShard re-applies the flag to the
+  // revived job) or the job is escrowed (admit re-applies it if the
+  // migration is abandoned).
+  return pendingFrame(Req, R);
 }
 
 //===----------------------------------------------------------------------===//
@@ -605,23 +671,10 @@ Frame ServiceFrontEnd::migrateOfferReq(const Frame &Req) {
     return errorFrame(Req, ServiceError::MigrateRefused,
                       "ticket already owned here: " + Key.str());
 
-  if (Req.Engine >= engine::NumEngineIds)
-    return errorFrame(Req, ServiceError::BadEngine,
-                      "engine id out of range");
-  const auto E = static_cast<engine::EngineId>(Req.Engine);
-  if (!engine::engineInfo(E).Caps.Reentrant)
-    return errorFrame(Req, ServiceError::BadEngine,
-                      std::string(engine::engineName(E)) +
-                          " is not reentrant; a sharded service cannot "
-                          "serialize it process-wide");
-
-  std::string CompileErr;
-  Program *P = getProgram(Req.Source, CompileErr);
+  Frame Err;
+  Program *P = validateJob(Req, Err);
   if (!P)
-    return errorFrame(Req, ServiceError::CompileFailed, CompileErr);
-  if (!P->Sys->Prog.findWord(Req.Word))
-    return errorFrame(Req, ServiceError::BadWord,
-                      "no such word: " + Req.Word);
+    return Err;
 
   // Validate the snapshot NOW, against the program we just compiled: a
   // commit must never discover the offer was garbage after the source
@@ -643,7 +696,7 @@ Frame ServiceFrontEnd::migrateOfferReq(const Frame &Req) {
   // an offer refused for capacity is retryable on another peer, so it is
   // a MigrateAccept{Accepted=0} with a backoff hint, not an error.
   const unsigned S = shardOf(Req.Tenant);
-  if (ShardDown[S] || ShardLive[S] >= Cfg.ShardHighWater ||
+  if (ShardDown[S] || LiveRecs[S].size() >= Cfg.ShardHighWater ||
       InFlight[Req.Tenant] >= Cfg.MaxInFlightPerTenant) {
     Frame F;
     F.Type = FrameType::MigrateAccept;
@@ -672,64 +725,25 @@ Frame ServiceFrontEnd::migrateOfferReq(const Frame &Req) {
 
 Frame ServiceFrontEnd::activateAdoption(const Frame &Req, Adoption &A) {
   const Frame &O = A.Offer;
-  const JobTicket Key = O.ticket();
   const unsigned S = shardOf(O.Tenant);
-  if (ShardDown[S] || ShardLive[S] >= Cfg.ShardHighWater)
+  if (ShardDown[S] || LiveRecs[S].size() >= Cfg.ShardHighWater)
     return rejectFrame(Req, RejectCode::ShardDegraded);
   if (InFlight[O.Tenant] >= Cfg.MaxInFlightPerTenant)
     return rejectFrame(Req, RejectCode::TenantBusy);
 
-  // Everything below was validated at offer time; the program cache
-  // makes getProgram a lookup.
+  // Everything was validated at offer time; the program cache makes
+  // getProgram a lookup.
   std::string CompileErr;
   Program *P = getProgram(O.Source, CompileErr);
   SC_ASSERT(P, "offer-validated program failed to compile at commit");
-  const vm::Word *W = P->Sys->Prog.findWord(O.Word);
-  SC_ASSERT(W, "offer-validated word vanished at commit");
-
-  sched::JobSpec Spec;
-  Spec.Entry = W->Entry;
-  Spec.FuelSteps = O.FuelSteps;
-  Spec.Deadline = std::chrono::nanoseconds(O.DeadlineNs);
-  const sched::TenantId T = shardTenant(S, O.Tenant);
-  sched::Job *J = obtainJob(S, *P, static_cast<engine::EngineId>(O.Engine),
-                            T, Spec);
-  if (!O.Snapshot.empty()) {
-    const snapshot::SnapshotError SE = Shards[S]->adoptCheckpoint(
-        J, O.Snapshot.data(), O.Snapshot.size());
-    SC_ASSERT(SE == snapshot::SnapshotError::None,
-              "offer-validated snapshot failed to restore at commit");
-  }
-  const sched::SubmitResult SR = Shards[S]->submit(J);
-  if (SR != sched::SubmitResult::Admitted) {
-    FreeJobs[S][FreeKey{P->Identity, O.Engine, T}].push_back(J);
-    return rejectFrame(Req, SR == sched::SubmitResult::Rejected
-                                ? RejectCode::ShardSaturated
-                                : RejectCode::AdmissionClosed);
-  }
-
-  auto Rec = std::make_unique<JobRecord>();
-  Rec->Ticket = Key;
-  Rec->Shard = S;
-  Rec->J = J;
-  Rec->Prog = P;
-  Rec->Engine = O.Engine;
-  Rec->Spec = Spec;
-  Rec->Word = O.Word;
-  LiveRecs[S].push_back(Rec.get());
-  Records.emplace(Key, std::move(Rec));
-  ++InFlight[O.Tenant];
-  ++ShardLive[S];
+  RejectCode Bounce;
+  JobRecord *R = admitNew(O, *P, S, O.Snapshot, Bounce);
+  if (!R)
+    return rejectFrame(Req, Bounce);
   ++Stats.MigratedIn;
   ++ShardMigrationsIn[S];
   A.Activated = true;
-
-  Frame F;
-  F.Type = FrameType::Pending;
-  F.RequestId = Req.RequestId;
-  F.Token = O.Token;
-  F.JobStateVal = static_cast<uint8_t>(sched::JobState::Queued);
-  return F;
+  return pendingFrame(Req, *R);
 }
 
 Frame ServiceFrontEnd::migrateCommitReq(const Frame &Req) {
@@ -755,23 +769,11 @@ Frame ServiceFrontEnd::migrateCommitReq(const Frame &Req) {
     }
     return F;
   }
-  // Commit retry after activation: idempotent — poll the adopted job and
-  // return Pending until done, then the cached Result forever.
+  // Commit retry after activation: idempotent — a poll of the adopted
+  // job, Pending until done, then the cached Result forever.
   auto RIt = Records.find(Req.ticket());
   SC_ASSERT(RIt != Records.end(), "activated adoption lost its record");
-  JobRecord &R = *RIt->second;
-  if (!R.DoneHarvested && !ShardDown[R.Shard])
-    sweepShard(R.Shard);
-  if (R.DoneHarvested)
-    return resultFrame(Req, R);
-  Frame F;
-  F.Type = FrameType::Pending;
-  F.RequestId = Req.RequestId;
-  F.Token = Req.Token;
-  F.JobStateVal = R.J && !ShardDown[R.Shard]
-                      ? static_cast<uint8_t>(R.J->state())
-                      : static_cast<uint8_t>(sched::JobState::Queued);
-  return F;
+  return pollRecord(Req, *RIt->second);
 }
 
 metrics::Json ServiceFrontEnd::statsDocument() const {
@@ -781,7 +783,8 @@ metrics::Json ServiceFrontEnd::statsDocument() const {
   for (unsigned S = 0; S < Cfg.Shards; ++S) {
     metrics::Json J = sched::snapshotToJson(Shards[S]->snapshot());
     J.set("down", metrics::Json::number(static_cast<uint64_t>(ShardDown[S])));
-    J.set("live_jobs", metrics::Json::number(ShardLive[S]));
+    J.set("live_jobs",
+          metrics::Json::number(static_cast<uint64_t>(LiveRecs[S].size())));
     J.set("migrations_in", metrics::Json::number(ShardMigrationsIn[S]));
     J.set("migrations_out", metrics::Json::number(ShardMigrationsOut[S]));
     Sh.push(std::move(J));
@@ -829,68 +832,33 @@ void ServiceFrontEnd::killShard(unsigned S) {
   Shards[S]->drain();
 
   std::lock_guard<std::mutex> Lock(Mu);
-  struct Revive {
-    JobRecord *R;
-    std::vector<uint8_t> Ckpt; ///< empty: restart from the beginning
-  };
-  std::vector<Revive> Revived;
+  std::vector<std::pair<JobRecord *, std::vector<uint8_t>>> Revived;
   for (JobRecord *R : LiveRecs[S]) {
-    const session::SessionResult &A = R->J->result();
-    if (A.Stop != session::StopKind::Cancelled || R->CancelRequested) {
+    if (!R->drainedByService()) {
       // Finished (or was genuinely cancelled by its client) before the
-      // kill took effect: the result is real, keep it. The job itself
-      // dies with the shard — no free-listing into a dead scheduler.
-      R->Result.Type = FrameType::Result;
-      R->Result.Token = R->Ticket.Token;
-      R->Result.Stop = static_cast<uint8_t>(A.Stop);
-      R->Result.Status = static_cast<uint8_t>(A.Outcome.Status);
-      R->Result.Steps = A.Outcome.Steps;
-      R->Result.Slices = A.Slices;
-      R->Result.Output = R->J->machine().Out;
-      R->DoneHarvested = true;
-      R->J = nullptr;
-      --InFlight[R->Ticket.Tenant];
-      --ShardLive[S];
-      ++Stats.Completed;
-      continue;
+      // kill took effect: the result is real, keep it.
+      settle(*R, harvest(*R->J));
+    } else {
+      // A revive discards a rebalance mark (Moving → Live): that cancel
+      // died with the shard, so the revived job just runs here and the
+      // rebalancer re-marks it if the skew persists. An extraction keeps
+      // its claim; its loop cancels the revived job again.
+      Revived.emplace_back(R, R->J->session().lastCheckpoint());
     }
-    // A revive discards the migration mark: the rebalance/extract cancel
-    // died with the shard, so the revived job just runs here (the
-    // extract loop re-issues its cancel; the rebalancer re-marks if the
-    // skew persists).
-    R->MoveRequested = false;
-    Revived.push_back(Revive{R, R->J->session().lastCheckpoint()});
+    // The job dies with the shard — no free-listing into a dead scheduler.
     R->J = nullptr;
   }
   LiveRecs[S].clear();
 
   // Restart: a brand-new scheduler (workers, queues, counters all
-  // fresh), then every surviving job re-created from its checkpoint.
+  // fresh), then every surviving job re-created from its checkpoint
+  // (empty: restart from the beginning).
   buildShard(S);
-  for (Revive &V : Revived) {
-    JobRecord *R = V.R;
-    const sched::TenantId T = shardTenant(S, R->Ticket.Tenant);
-    Program &P = *R->Prog;
-    sched::Job *J = Shards[S]->createJob(
-        T, P.Sys->Prog, static_cast<engine::EngineId>(R->Engine),
-        P.Sys->Machine, R->Spec);
-    if (!V.Ckpt.empty()) {
-      const snapshot::SnapshotError E =
-          Shards[S]->adoptCheckpoint(J, V.Ckpt.data(), V.Ckpt.size());
-      SC_ASSERT(E == snapshot::SnapshotError::None,
-                "a checkpoint the service harvested failed to restore");
-    }
-    const sched::SubmitResult SR = Shards[S]->submit(J);
-    SC_ASSERT(SR == sched::SubmitResult::Admitted,
-              "rebuild re-admission cannot bounce: queue capacity covers "
-              "the in-flight cap");
-    if (R->CancelRequested)
-      J->cancel();
-    R->J = J;
-    LiveRecs[S].push_back(R);
+  ShardDown[S] = 0;
+  for (auto &[R, Ckpt] : Revived) {
+    placeRecord(*R, S, Ckpt);
     ++Stats.JobsRecovered;
   }
-  ShardDown[S] = 0;
 }
 
 //===----------------------------------------------------------------------===//
@@ -904,10 +872,12 @@ bool ServiceFrontEnd::extractForMigration(const JobTicket &T, Frame &Offer) {
     if (It == Records.end())
       return false;
     JobRecord &R = *It->second;
-    if (ShuttingDown || R.DoneHarvested || R.MigratedOut ||
-        R.ExtractPending || R.CancelRequested || !R.J)
+    if (ShuttingDown || R.CancelRequested ||
+        (R.Ph != Phase::Live && R.Ph != Phase::Moving))
       return false;
-    R.ExtractPending = true;
+    // Extraction supersedes a rebalance mark: the job leaves the process
+    // instead, and an abandon brings it back plain live.
+    R.Ph = Phase::Extracting;
     if (!ShardDown[R.Shard])
       R.J->cancel();
   }
@@ -918,14 +888,13 @@ bool ServiceFrontEnd::extractForMigration(const JobTicket &T, Frame &Offer) {
     {
       std::lock_guard<std::mutex> Lock(Mu);
       JobRecord &R = *Records.at(T);
-      if (ShuttingDown) {
-        R.ExtractPending = false;
-        return false;
-      }
-      if (!R.J) {
+      if (R.Ph == Phase::Done) {
         // killShard harvested it mid-extract: it finished for real (or
         // its client cancelled); the result is already in the record.
-        R.ExtractPending = false;
+        return false;
+      }
+      if (ShuttingDown) {
+        R.Ph = Phase::Live;
         return false;
       }
       if (!ShardDown[R.Shard]) {
@@ -933,11 +902,10 @@ bool ServiceFrontEnd::extractForMigration(const JobTicket &T, Frame &Offer) {
           // Re-issue the cancel: a shard kill between polls revives the
           // job without it.
           R.J->cancel();
-        } else if (R.J->result().Stop != session::StopKind::Cancelled ||
-                   R.CancelRequested) {
+        } else if (!R.drainedByService()) {
           // Finished for real (or client-cancelled) before our cancel
           // landed: nothing to migrate; normal harvest takes over.
-          R.ExtractPending = false;
+          R.Ph = Phase::Live;
           return false;
         } else {
           // Settled at a boundary: package it. adoptCheckpoint on the
@@ -945,19 +913,12 @@ bool ServiceFrontEnd::extractForMigration(const JobTicket &T, Frame &Offer) {
           // result is field-for-field the unmigrated run's.
           std::vector<uint8_t> Ckpt = R.J->session().lastCheckpoint();
           const unsigned S = R.Shard;
-          FreeJobs[S][FreeKey{R.Prog->Identity, R.Engine,
-                              ShardTenants[S].at(T.Tenant)}]
-              .push_back(R.J);
-          R.J = nullptr;
-          auto &Recs = LiveRecs[S];
-          Recs.erase(std::find(Recs.begin(), Recs.end(), &R));
-          SC_ASSERT(ShardLive[S] > 0, "shard-live underflow");
-          --ShardLive[S];
+          release(R);
           if (Ckpt.size() > MaxStringBytes) {
             // Too big for an sc-wire string: not migratable; resume it
             // locally as if never touched.
+            R.Ph = Phase::Live;
             placeRecord(R, S, Ckpt);
-            R.ExtractPending = false;
             return false;
           }
           Offer = Frame();
@@ -969,8 +930,7 @@ bool ServiceFrontEnd::extractForMigration(const JobTicket &T, Frame &Offer) {
           Offer.Source = R.Prog->Source;
           Offer.Word = R.Word;
           Offer.Snapshot = Ckpt;
-          R.ExtractPending = false;
-          R.MigratedOut = true;
+          R.Ph = Phase::Escrowed;
           R.EscrowCkpt = std::move(Ckpt);
           // Heat travels in the snapshot sidecar too, but the explicit
           // fields let an adopter seed its ladder before first dispatch.
@@ -1001,18 +961,9 @@ void ServiceFrontEnd::completeMigration(const JobTicket &T,
   auto It = Records.find(T);
   SC_ASSERT(It != Records.end(), "completeMigration for an unknown ticket");
   JobRecord &R = *It->second;
-  SC_ASSERT(R.MigratedOut && !R.DoneHarvested,
+  SC_ASSERT(R.Ph == Phase::Escrowed,
             "completeMigration on a job that is not migrated out");
-  R.Result = Result;
-  R.Result.Type = FrameType::Result;
-  R.Result.RequestId = 0;
-  R.Result.Token = T.Token;
-  R.DoneHarvested = true;
-  R.EscrowCkpt.clear();
-  R.EscrowCkpt.shrink_to_fit();
-  SC_ASSERT(InFlight[T.Tenant] > 0, "in-flight underflow");
-  --InFlight[T.Tenant];
-  ++Stats.Completed;
+  settle(R, Result);
 }
 
 bool ServiceFrontEnd::abandonMigration(const JobTicket &T) {
@@ -1021,13 +972,12 @@ bool ServiceFrontEnd::abandonMigration(const JobTicket &T) {
   if (It == Records.end())
     return false;
   JobRecord &R = *It->second;
-  if (!R.MigratedOut || R.DoneHarvested)
+  if (R.Ph != Phase::Escrowed)
     return false;
   if (ShuttingDown || ShardDown[R.Shard])
     return false; // caller retries once the shard is back
   const std::vector<uint8_t> Ckpt = std::move(R.EscrowCkpt);
   R.EscrowCkpt.clear();
-  R.MigratedOut = false;
   placeRecord(R, R.Shard, Ckpt);
   ++Stats.MigrationsAbandoned;
   ++ShardMigrationsIn[R.Shard];

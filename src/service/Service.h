@@ -40,6 +40,16 @@
 ///     lists keyed on (program identity, engine); an unbounded job
 ///     stream runs on a bounded job pool whose size tracks peak
 ///     concurrency, not total jobs served.
+///   - One record per ticket, in exactly one phase: Live (its job runs
+///     on a shard), Moving (the rebalancer is draining it toward a
+///     colder shard), Extracting (extractForMigration owns its
+///     settling), Escrowed (migrated out; the checkpoint is kept until
+///     completeMigration or abandonMigration) or Done (the final Result,
+///     served to every later poll, duplicate submit and re-commit). A
+///     client's cancel is recorded apart from the phase and re-applied
+///     to every job the record is given. Each step — validate, admit,
+///     release, settle, poll — has one path; DESIGN.md §14 tabulates
+///     which request or event moves a record between phases.
 ///
 /// Non-reentrant engine flavors (call threading's static VM registers)
 /// are refused with ServiceError::BadEngine: their dispatches would
@@ -261,9 +271,16 @@ private:
   Frame errorFrame(const Frame &Req, ServiceError E, std::string Detail);
   Frame rejectFrame(const Frame &Req, RejectCode Code);
   Frame resultFrame(const Frame &Req, const JobRecord &R) const;
+  /// Pending for \p R: its scheduler state, or Queued while it has no
+  /// runnable job (escrowed, or its shard is being rebuilt).
+  Frame pendingFrame(const Frame &Req, const JobRecord &R) const;
 
   /// Compiles (or fetches) the program for \p Source; Mu held.
   Program *getProgram(const std::string &Source, std::string &Err);
+  /// The job a Submit or MigrateOffer \p Req describes: engine in range
+  /// and reentrant, source compiles, entry word exists. Null with \p Err
+  /// set to the typed Error reply when any check fails. Mu held.
+  Program *validateJob(const Frame &Req, Frame &Err);
   /// Harvests finished jobs on shard \p S into their records and the
   /// free list, and executes pending cross-shard moves; Mu held, shard
   /// must be up.
@@ -280,12 +297,33 @@ private:
   /// each victim settles at its slice boundary). Mu held; no-op unless
   /// Cfg.Rebalance and the hot/cold gap justifies a move.
   void maybeRebalance();
-  /// Re-admits record \p R (whose job has settled and been released) on
-  /// shard \p To from checkpoint \p Ckpt (empty = fresh start). Mu held;
-  /// the target shard must be up and accepting. Updates shard
-  /// bookkeeping but no counters.
+  /// The one admission path: gives record \p R a job on shard \p S
+  /// (free list or fresh), restores checkpoint \p Ckpt into it when
+  /// non-empty, and submits it. Admitted: R runs on S and is live (an
+  /// extraction in progress keeps its claim). Bounced: the job is parked
+  /// on the free list and R keeps no job. Mu held; S must be up.
+  sched::SubmitResult admit(JobRecord &R, unsigned S,
+                            const std::vector<uint8_t> &Ckpt);
+  /// admit() for a record whose job already held an admission slot (a
+  /// move, a revive, an abandoned migration): queue capacity covers the
+  /// in-flight cap, so it cannot bounce.
   void placeRecord(JobRecord &R, unsigned To,
                    const std::vector<uint8_t> &Ckpt);
+  /// Creates the record for \p Job (a Submit, or the MigrateOffer a
+  /// commit activates) and admits it on shard \p S from \p Ckpt. Null
+  /// when the scheduler bounced it: no record is kept and \p Bounce
+  /// says why. Mu held.
+  JobRecord *admitNew(const Frame &Job, Program &P, unsigned S,
+                      const std::vector<uint8_t> &Ckpt, RejectCode &Bounce);
+  /// Detaches \p R's settled job from its shard into the free list; Mu
+  /// held, shard up.
+  void release(JobRecord &R);
+  /// Makes \p Result the final answer for \p R (phase Done): the
+  /// tenant's in-flight slot frees and Completed ticks. Mu held.
+  void settle(JobRecord &R, Frame Result);
+  /// Sweeps \p R's shard (and rebalances) unless R is done, then answers
+  /// with its Result or Pending. Poll and a re-sent commit share it.
+  Frame pollRecord(const Frame &Req, JobRecord &R);
   /// Activates the inert adoption \p A (Mu held): admits the job as if
   /// submitted here, restoring its snapshot. Returns the reply frame.
   Frame activateAdoption(const Frame &Req, Adoption &A);
@@ -296,7 +334,6 @@ private:
   mutable std::mutex Mu;
   std::vector<std::unique_ptr<sched::SessionScheduler>> Shards;
   std::vector<uint8_t> ShardDown; ///< 1 while killShard rebuilds it
-  std::vector<uint64_t> ShardLive;
   /// Per shard: jobs that migrated onto / off this shard (both the
   /// cross-shard rebalancer and cross-process adoption/extraction).
   std::vector<uint64_t> ShardMigrationsIn;
@@ -307,7 +344,8 @@ private:
   /// recycled jobs (a job's tenant binding is fixed at creation).
   using FreeKey = std::tuple<uint64_t, uint8_t, sched::TenantId>;
   std::vector<std::map<FreeKey, std::vector<sched::Job *>>> FreeJobs;
-  /// Per shard: records whose job is still live (sweep scans these).
+  /// Per shard: records that hold a job there (sweep scans these); the
+  /// size is the shard's live-job count.
   std::vector<std::vector<JobRecord *>> LiveRecs;
   std::map<std::string, std::unique_ptr<Program>> Programs; // by source
   std::map<JobTicket, std::unique_ptr<JobRecord>> Records;

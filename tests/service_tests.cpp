@@ -707,6 +707,33 @@ TEST(Service, CancelSurvivesShardKill) {
   FE.shutdown();
 }
 
+/// Faults injected over a run, summed across every channel of it.
+struct FaultTally {
+  std::mutex Mu;
+  ChaosChannel::Injected Sum;
+};
+
+/// A ChaosChannel that adds the faults it injected to a FaultTally when
+/// it is destroyed (a client drops its channel on every reconnect).
+class TalliedChaosChannel : public ChaosChannel {
+public:
+  TalliedChaosChannel(std::unique_ptr<Channel> Inner, ChaosConfig Config,
+                      FaultTally &Tally)
+      : ChaosChannel(std::move(Inner), Config), Tally(Tally) {}
+  ~TalliedChaosChannel() override {
+    const Injected I = injected();
+    std::lock_guard<std::mutex> L(Tally.Mu);
+    Tally.Sum.Drops += I.Drops;
+    Tally.Sum.Dups += I.Dups;
+    Tally.Sum.Truncations += I.Truncations;
+    Tally.Sum.Reorders += I.Reorders;
+    Tally.Sum.Delays += I.Delays;
+  }
+
+private:
+  FaultTally &Tally;
+};
+
 /// Drives \p Jobs jobs through clients over chaos-wrapped local
 /// channels and returns every Result frame, keyed by token. Tenants
 /// cycle through \p TenantCount names; 1 concentrates the whole load on
@@ -720,6 +747,7 @@ chaosRun(ServiceConfig Cfg, ChaosConfig Chaos, uint64_t Kills, uint64_t Jobs,
   std::vector<std::thread> ServerThreads;
   std::mutex HostMu;
   std::atomic<uint64_t> Conns{0};
+  FaultTally Faults;
   auto Connector = [&]() -> std::unique_ptr<Channel> {
     auto [Cli, Srv] = makeLocalPair();
     std::unique_ptr<Channel> S = std::move(Srv), C = std::move(Cli);
@@ -727,10 +755,10 @@ chaosRun(ServiceConfig Cfg, ChaosConfig Chaos, uint64_t Kills, uint64_t Jobs,
     if (Chaos.enabled()) {
       ChaosConfig SC = Chaos;
       SC.Seed = Chaos.Seed ^ (0x9e3779b97f4a7c15ULL * N);
-      S = std::make_unique<ChaosChannel>(std::move(S), SC);
+      S = std::make_unique<TalliedChaosChannel>(std::move(S), SC, Faults);
       ChaosConfig CC = Chaos;
       CC.Seed = Chaos.Seed ^ (0xbf58476d1ce4e5b9ULL * N);
-      C = std::make_unique<ChaosChannel>(std::move(C), CC);
+      C = std::make_unique<TalliedChaosChannel>(std::move(C), CC, Faults);
     }
     std::lock_guard<std::mutex> L(HostMu);
     ServerThreads.emplace_back(
@@ -819,6 +847,14 @@ chaosRun(ServiceConfig Cfg, ChaosConfig Chaos, uint64_t Kills, uint64_t Jobs,
     for (std::thread &T : ServerThreads)
       T.join();
   }
+  // Every channel is destroyed now, so the tally is complete: the storm
+  // must actually have stormed, each enabled fault class at least once.
+  const ChaosChannel::Injected &I = Faults.Sum;
+  EXPECT_TRUE(!Chaos.DropPerMille || I.Drops) << "no frame dropped";
+  EXPECT_TRUE(!Chaos.DupPerMille || I.Dups) << "no frame duplicated";
+  EXPECT_TRUE(!Chaos.TruncatePerMille || I.Truncations) << "no write torn";
+  EXPECT_TRUE(!Chaos.ReorderPerMille || I.Reorders) << "no frame reordered";
+  EXPECT_TRUE(!Chaos.DelayPerMille || I.Delays) << "no frame delayed";
   return Results;
 }
 
@@ -1451,6 +1487,84 @@ TEST(Service, ChaosRebalanceDifferential) {
 
   for (const auto &[Token, Ref] : Baseline)
     expectSameResult(Stormed.at(Token), Ref, std::to_string(Token));
+}
+
+/// A rebalance mark must not outlive an extraction. The rebalancer
+/// marks a job, extractForMigration takes it, abandonMigration brings it
+/// home: the record must come back plain live, so the rebalancer still
+/// counts it on its real shard and can move it again. (A stale mark hid
+/// it from the rebalancer and booked it against the cold shard.)
+TEST(Service, AbandonedExtractionClearsTheRebalanceMark) {
+  // A few hundred thousand guest steps: it outlives the control steps
+  // below by a wide margin.
+  constexpr const char *LongSrc =
+      R"(variable acc : main 0 acc ! 30000 0 do i acc @ + acc ! loop acc @ . ;)";
+  ServiceConfig Cfg;
+  Cfg.Shards = 2;
+  Cfg.SliceSteps = 256;
+  Cfg.CheckpointEverySlices = 1;
+
+  ServiceFrontEnd Ref(Cfg);
+  ASSERT_EQ(Ref.handle(submitFrame("hot", 1, LongSrc)).Type,
+            FrameType::SubmitAck);
+  const Frame R0 = awaitResult(Ref, "hot", 1);
+  Ref.shutdown();
+
+  ServiceConfig On = Cfg;
+  On.Rebalance = true;
+  On.RebalanceHighWater = 2;
+  On.RebalanceMinGap = 2;
+  On.RebalanceBatch = 8; // at least the live count; half the gap caps it
+  ServiceFrontEnd FE(On);
+  const unsigned Hot = FE.shardOf("hot");
+  std::string Cold = "cold-0";
+  for (unsigned I = 1; FE.shardOf(Cold) == Hot; ++I)
+    Cold = "cold-" + std::to_string(I);
+
+  // Job 1 (under test) and a spinner live on the hot shard.
+  ASSERT_EQ(FE.handle(submitFrame("hot", 1, LongSrc)).Type,
+            FrameType::SubmitAck);
+  ASSERT_EQ(FE.handle(submitFrame("hot", 2, SpinSrc)).Type,
+            FrameType::SubmitAck);
+  // This poll rebalances: a gap of 2 marks one job, the oldest — job 1.
+  ASSERT_EQ(FE.handle(pollFrame("hot", 1)).Type, FrameType::Pending);
+  // Extract the marked job before any sweep can move it, then abandon.
+  const JobTicket T1{"hot", 1};
+  Frame Offer;
+  ASSERT_TRUE(FE.extractForMigration(T1, Offer));
+  ASSERT_TRUE(FE.abandonMigration(T1));
+  // Take the spinner out of the candidates (cancel does not sweep).
+  Frame Cancel = pollFrame("hot", 2);
+  Cancel.Type = FrameType::CancelReq;
+  ASSERT_EQ(FE.handle(Cancel).Type, FrameType::Pending);
+  // A submit on the cold shard rebalances without sweeping the hot one:
+  // 2 live jobs against 0, and job 1 is the only one that may move.
+  ASSERT_EQ(FE.handle(submitFrame(Cold, 1, ComputeSrc)).Type,
+            FrameType::SubmitAck);
+  // Duplicate submits sweep the hot shard; once job 1 settles at its
+  // slice boundary it is re-admitted on the cold shard.
+  Frame Ack;
+  for (int Spin = 0; Spin < 100000; ++Spin) {
+    Ack = FE.handle(submitFrame("hot", 1, LongSrc));
+    if (Ack.Type != FrameType::SubmitAck || Ack.Shard != Hot)
+      break;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_EQ(Ack.Type, FrameType::SubmitAck)
+      << "job 1 finished where it was: the rebalancer never moved it";
+  EXPECT_EQ(Ack.Shard, FE.shardOf(Cold));
+  EXPECT_EQ(Ack.Duplicate, 1u);
+
+  expectSameResult(awaitResult(FE, "hot", 1), R0, "moved after abandon");
+  EXPECT_EQ(awaitResult(FE, "hot", 2).Stop,
+            static_cast<uint8_t>(session::StopKind::Cancelled));
+  awaitResult(FE, Cold, 1);
+  FE.shutdown();
+  const ServiceStats S = FE.statsSnapshot();
+  EXPECT_EQ(S.MigratedOut, 1u);
+  EXPECT_EQ(S.MigrationsAbandoned, 1u);
+  EXPECT_GE(S.Rebalanced, 1u);
+  EXPECT_EQ(S.Completed, 3u);
 }
 
 /// Cross-process migration under chaos: jobs extracted from a crashing
