@@ -695,6 +695,15 @@ InjectReport sc::harness::fuzzSnapshots(const forth::System &Sys,
     if (Pool.empty() || snapshot::serialize(CutCtx, CutVm, MS) != Pool.back())
       Pool.push_back(snapshot::serialize(CutCtx, CutVm, MS));
   }
+  // Each genuine snapshot (written as v3) again as a v2 buffer: the same
+  // layout under the byte-serial seal, so mutations hit both seals the
+  // reader verifies. The version is a little-endian u32 at offset 4.
+  for (size_t I = 0, Genuine = Pool.size(); I < Genuine; ++I) {
+    std::vector<uint8_t> V2 = Pool[I];
+    V2[4] = 2;
+    snapshot::resealChecksum(V2);
+    Pool.push_back(std::move(V2));
+  }
 
   Rng Rand(Seed);
   for (uint64_t Round = 0; Round < Rounds; ++Round) {

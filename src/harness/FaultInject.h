@@ -211,7 +211,8 @@ InjectReport sweepSnapshotBoundaries(const forth::System &Sys,
                                      uint64_t MaxCut = 0);
 
 /// Mutation fuzz over valid snapshots: builds a pool of genuine
-/// serialized states of \p Word (several cut points), then \p Rounds
+/// serialized states of \p Word (several cut points, each as written (v3)
+/// and resealed as v2 so both seals are exercised), then \p Rounds
 /// times corrupts a copy — random byte flips, truncations, junk
 /// extensions, zeroed spans — and feeds it to restore(). Every mutant
 /// must either be rejected with a typed SnapshotError or be byte-for-

@@ -97,8 +97,10 @@ sc::prepare::prepareCode(const Code &Prog, EngineId Engine,
     superinst::CombineResult R = superinst::combineSuperinstructions(Prog);
     PC->FusedPairs = R.PairsCombined;
     PC->Snapshot = std::make_shared<const Code>(std::move(R.Combined));
+    PC->ProgramIdentity = PC->Snapshot->identity();
   } else {
     PC->Snapshot = std::make_shared<const Code>(Prog);
+    PC->ProgramIdentity = PC->SourceIdentity;
   }
   translate(*PC);
 

@@ -69,6 +69,11 @@ struct PreparedCode {
   /// content hash that snapshots and the quarantine registry key on.
   /// Precomputed here so supervision paths never pay the hash per run.
   uint64_t SourceIdentity = 0;
+  /// Code::identity() of program(), the key a checkpoint of this stream
+  /// carries: SourceIdentity, unless fusion rewrote the program, in which
+  /// case the fused program is hashed once here instead of at every
+  /// checkpoint.
+  uint64_t ProgramIdentity = 0;
   /// Address of the source Code. Never dereferenced after prepare — the
   /// source may have been mutated or destroyed; only the snapshot below
   /// is executed.

@@ -162,7 +162,7 @@ uint64_t VmSession::fuelRemaining() const {
   return FuelUsed >= Policy.FuelSteps ? 0 : Policy.FuelSteps - FuelUsed;
 }
 
-std::vector<uint8_t> VmSession::checkpoint(uint32_t Pc) const {
+snapshot::MachineState VmSession::machineState(uint32_t Pc) const {
   snapshot::MachineState MS;
   MS.Pc = Pc;
   MS.FuelRemaining = fuelRemaining();
@@ -173,18 +173,19 @@ std::vector<uint8_t> VmSession::checkpoint(uint32_t Pc) const {
   // called) so a restore still seeds a sensible heat.
   MS.HeatSteps = std::max(TierHeatSteps, ProgressSteps);
   MS.TierRung = TierRungIdx;
-  return snapshot::serialize(Ctx, *Ctx.Machine, MS);
+  return MS;
+}
+
+std::vector<uint8_t> VmSession::checkpoint(uint32_t Pc) const {
+  std::vector<uint8_t> Out;
+  snapshot::serializeInto(Out, Ctx, *Ctx.Machine, machineState(Pc),
+                          PC->ProgramIdentity);
+  return Out;
 }
 
 void VmSession::writeCheckpoint(uint32_t Pc) {
-  snapshot::MachineState MS;
-  MS.Pc = Pc;
-  MS.FuelRemaining = fuelRemaining();
-  MS.StepsRetired = ProgressSteps;
-  MS.SlicesRetired = ProgressSlices;
-  MS.HeatSteps = std::max(TierHeatSteps, ProgressSteps);
-  MS.TierRung = TierRungIdx;
-  snapshot::serializeInto(LastCheckpoint, Ctx, *Ctx.Machine, MS);
+  snapshot::serializeInto(LastCheckpoint, Ctx, *Ctx.Machine, machineState(Pc),
+                          PC->ProgramIdentity);
   HasCheckpoint = true;
   SlicesSinceCheckpoint = 0;
   ++Stats.Checkpoints;

@@ -273,7 +273,7 @@ public:
   uint32_t restoredPc() const { return RestoredPc; }
 
   /// Records the tier the session is currently running on so checkpoints
-  /// carry it (the sc-snap v2 sidecar): \p HeatSteps is the controller's
+  /// carry it (the sc-snap v2+ sidecar): \p HeatSteps is the controller's
   /// accumulated heat for this program's identity, \p Rung the ladder
   /// index. Callers without a tier controller never call this; the
   /// sidecar then carries the session's own retired steps as heat.
@@ -297,6 +297,8 @@ public:
 private:
   uint64_t replayBudget() const;
   uint64_t fuelRemaining() const;
+  /// The caller-tracked part of a checkpoint resumable at \p Pc.
+  snapshot::MachineState machineState(uint32_t Pc) const;
   SliceSnapshot snapshot() const;
   void writeCheckpoint(uint32_t Pc);
   vm::RunOutcome runSlice(uint32_t Pc);

@@ -5,10 +5,10 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Format "sc-snap v2", all integers little-endian:
+// Format "sc-snap v3", all integers little-endian:
 //
 //   [  0..  4) magic "SCSN"
-//   [  4..  8) u32 format version (2; v1 still restores)
+//   [  4..  8) u32 format version (3; v1 and v2 still restore)
 //   [  8.. 16) u64 total snapshot length in bytes (length prefix)
 //   [ 16.. 24) u64 Code::identity() of the executed program
 //   [ 24.. 32) u64 Code::version() (informational; restore keys on identity)
@@ -23,7 +23,7 @@
 //   [ 88.. 96) u64 HERE
 //   [ 96..104) u64 accessible limit (UINT64_MAX = uncapped)
 //   [104..112) u64 data-space allocation size
-//   v2 only (the tier sidecar; v1 headers end at 112):
+//   v2 and v3 (the tier sidecar; v1 headers end at 112):
 //   [112..120) u64 tier heat (TierController steps earned by the identity)
 //   [120..124) u32 tier rung (promotion-ladder index the job ran on)
 //   [124..128) reserved, written zero
@@ -32,10 +32,20 @@
 //                return-stack cells to the exact depth,
 //                data-space prefix up to the last non-zero byte,
 //                output buffer
-//   [ last 8 ) u64 FNV-1a checksum over every preceding byte
+//   [ last 8 ) u64 checksum over every preceding byte (the seal)
 //
-// serialize always writes v2. readHeader/restore accept v1 buffers (from
-// pre-migration builds) and report a zero sidecar for them.
+// v3 keeps v2's layout byte for byte and changes only the seal. v1 and v2
+// seal with byte-serial FNV-1a 64. v3 seals with FNV-1a over 64-bit
+// little-endian words in four interleaved lanes (word I feeds lane I % 4,
+// so the four multiply chains overlap), folding each lane's high half
+// into its low half after every multiply; a zero-padded tail word, the
+// length and the four lanes then fold into one value. Without the fold a
+// flip of bit 63 only ever reaches bit 63 of the product, so two such
+// flips in one lane would cancel.
+//
+// serialize always writes v3. readHeader/restore accept v1 and v2 buffers
+// (from older builds), verify each by its own version's seal, and report
+// a zero sidecar for v1.
 //
 //===----------------------------------------------------------------------===//
 
@@ -43,6 +53,7 @@
 
 #include "support/Assert.h"
 
+#include <bit>
 #include <cstring>
 
 using namespace sc;
@@ -51,7 +62,7 @@ using namespace sc::snapshot;
 namespace {
 
 constexpr uint8_t Magic[4] = {'S', 'C', 'S', 'N'};
-constexpr uint32_t FormatVersion = 2;
+constexpr uint32_t FormatVersion = 3;
 constexpr uint32_t MinFormatVersion = 1;
 constexpr size_t HeaderBytesV1 = 112;
 constexpr size_t HeaderBytesV2 = 128;
@@ -99,19 +110,28 @@ uint32_t get32(const uint8_t *P) {
 }
 
 uint64_t get64(const uint8_t *P) {
-  uint64_t V = 0;
-  for (int I = 7; I >= 0; --I)
-    V = V << 8 | P[I];
+  uint64_t V;
+  std::memcpy(&V, P, sizeof(V));
+  if constexpr (std::endian::native == std::endian::big)
+    V = __builtin_bswap64(V);
   return V;
 }
 
 /// The trailing-zero-trimmed prefix of the data space: everything after it
 /// is zero by construction, so restore recreates the full arena from it.
+/// Every byte at or above the Vm's touched bound is zero, so the scan
+/// starts there and steps down a word at a time once it is aligned.
 size_t dataPrefixLength(const vm::Vm &Machine) {
   const uint8_t *P = Machine.memData();
-  size_t N = Machine.dataSpaceSize();
-  while (N > 0 && P[N - 1] == 0)
+  size_t N = Machine.touchedBound();
+  while (N % 8 != 0 && P[N - 1] == 0)
     --N;
+  if (N % 8 == 0) {
+    while (N >= 8 && get64(P + N - 8) == 0)
+      N -= 8;
+    while (N > 0 && P[N - 1] == 0)
+      --N;
+  }
   return N;
 }
 
@@ -143,13 +163,58 @@ const char *sc::snapshot::snapshotErrorName(SnapshotError E) {
   return "unknown snapshot error";
 }
 
-uint64_t sc::snapshot::snapshotChecksum(const uint8_t *Data, size_t N) {
-  uint64_t H = 1469598103934665603ull;
+namespace {
+
+constexpr uint64_t FnvBasis = 1469598103934665603ull;
+constexpr uint64_t FnvPrime = 1099511628211ull;
+
+/// The v1/v2 seal: FNV-1a 64, one byte per multiply.
+uint64_t byteSeal(const uint8_t *Data, size_t N) {
+  uint64_t H = FnvBasis;
   for (size_t I = 0; I < N; ++I) {
     H ^= Data[I];
-    H *= 1099511628211ull;
+    H *= FnvPrime;
   }
   return H;
+}
+
+/// One v3 step. For a fixed lane state it is a bijection of the word (and
+/// for a fixed word, of the state), so a difference in one word always
+/// survives into the seal.
+uint64_t mixWord(uint64_t H, uint64_t W) {
+  H = (H ^ W) * FnvPrime;
+  return H ^ (H >> 32);
+}
+
+/// The v3 seal (see the format comment).
+uint64_t wordSeal(const uint8_t *Data, size_t N) {
+  uint64_t L[4] = {FnvBasis, FnvBasis ^ 1, FnvBasis ^ 2, FnvBasis ^ 3};
+  size_t I = 0;
+  for (; N - I >= 32; I += 32) {
+    L[0] = mixWord(L[0], get64(Data + I));
+    L[1] = mixWord(L[1], get64(Data + I + 8));
+    L[2] = mixWord(L[2], get64(Data + I + 16));
+    L[3] = mixWord(L[3], get64(Data + I + 24));
+  }
+  unsigned Lane = 0;
+  for (; N - I >= 8; I += 8, ++Lane)
+    L[Lane] = mixWord(L[Lane], get64(Data + I));
+  if (I < N) {
+    uint8_t Tail[8] = {};
+    std::memcpy(Tail, Data + I, N - I);
+    L[Lane] = mixWord(L[Lane], get64(Tail));
+  }
+  uint64_t H = mixWord(FnvBasis, N);
+  for (uint64_t V : L)
+    H = mixWord(H, V);
+  return H;
+}
+
+} // namespace
+
+uint64_t sc::snapshot::snapshotChecksum(const uint8_t *Data, size_t N) {
+  return N >= 8 && get32(Data + 4) >= 3 ? wordSeal(Data, N)
+                                        : byteSeal(Data, N);
 }
 
 void sc::snapshot::resealChecksum(std::vector<uint8_t> &Snap) {
@@ -163,6 +228,14 @@ void sc::snapshot::serializeInto(std::vector<uint8_t> &Out,
                                  const vm::Vm &Machine,
                                  const MachineState &MS) {
   SC_ASSERT(Ctx.Prog, "serialize needs a bound program for the identity key");
+  serializeInto(Out, Ctx, Machine, MS, Ctx.Prog->identity());
+}
+
+void sc::snapshot::serializeInto(std::vector<uint8_t> &Out,
+                                 const vm::ExecContext &Ctx,
+                                 const vm::Vm &Machine, const MachineState &MS,
+                                 uint64_t CodeIdentity) {
+  SC_ASSERT(Ctx.Prog, "serialize needs a bound program for the version");
   SC_ASSERT(Ctx.DsDepth <= Ctx.DsCapacity && Ctx.RsDepth <= Ctx.RsCapacity,
             "serialize at a non-canonical state");
 
@@ -175,7 +248,7 @@ void sc::snapshot::serializeInto(std::vector<uint8_t> &Out,
   put32(Out, FormatVersion);
   const size_t TotalOff = Out.size();
   put64(Out, 0); // total length, patched below
-  put64(Out, Ctx.Prog->identity());
+  put64(Out, CodeIdentity);
   put64(Out, Ctx.Prog->version());
   put32(Out, MS.Pc);
   Out.push_back(Ctx.Resume ? 1 : 0);
@@ -345,9 +418,9 @@ SnapshotError sc::snapshot::restore(const uint8_t *Data, size_t N,
   Ctx.RsDepth = 0;
   Ctx.DsHighWater = 0;
   Ctx.RsHighWater = 0;
+  // Cells above the live depths are dead: no engine reads one before
+  // writing it, so they are left as they are rather than zero-filled.
   Ctx.setStackCapacities(H.DsCapacity, H.RsCapacity);
-  std::fill(Ctx.DS.begin(), Ctx.DS.end(), 0);
-  std::fill(Ctx.RS.begin(), Ctx.RS.end(), 0);
   if (H.DsDepth)
     std::memcpy(Ctx.DS.data(), DsCells, H.DsDepth * sizeof(vm::Cell));
   if (H.RsDepth)

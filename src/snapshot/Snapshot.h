@@ -48,7 +48,7 @@ enum class SnapshotError : uint8_t {
   BadMagic,         ///< not a snapshot at all
   BadFormatVersion, ///< a format this build does not speak
   BadLength,        ///< total-length or a section length disagrees
-  BadChecksum,      ///< trailing FNV-1a mismatch (bit rot, torn write)
+  BadChecksum,      ///< trailing seal mismatch (bit rot, torn write)
   BadFieldValue,    ///< a field is internally inconsistent (depth vs
                     ///< section size, HERE out of range, PC out of code)
   DepthExceedsCapacity, ///< stored stack depth above stored capacity
@@ -79,7 +79,7 @@ struct MachineState {
   uint64_t FuelRemaining = UINT64_MAX; ///< steps the job may still execute
   uint64_t StepsRetired = 0;           ///< steps completed before the snapshot
   uint64_t SlicesRetired = 0;          ///< slices completed before the snapshot
-  /// Tier sidecar (sc-snap v2). HeatSteps is the TierController heat the
+  /// Tier sidecar (sc-snap v2 on). HeatSteps is the TierController heat the
   /// program's identity had earned when the snapshot was taken — it can
   /// exceed StepsRetired because heat accumulates across jobs of the same
   /// code. TierRung is the promotion-ladder rung the job was running on.
@@ -120,6 +120,15 @@ struct SnapshotHeader {
 void serializeInto(std::vector<uint8_t> &Out, const vm::ExecContext &Ctx,
                    const vm::Vm &Machine, const MachineState &MS);
 
+/// As above, keyed on \p CodeIdentity instead of hashing Ctx.Prog: a
+/// caller that already holds the identity of the program Ctx.Prog runs
+/// (VmSession, from its PreparedCode) skips a full content hash per
+/// checkpoint. The bytes equal the other overload's when \p CodeIdentity
+/// is Ctx.Prog->identity().
+void serializeInto(std::vector<uint8_t> &Out, const vm::ExecContext &Ctx,
+                   const vm::Vm &Machine, const MachineState &MS,
+                   uint64_t CodeIdentity);
+
 /// Convenience wrapper returning a fresh buffer.
 std::vector<uint8_t> serialize(const vm::ExecContext &Ctx,
                                const vm::Vm &Machine, const MachineState &MS);
@@ -145,15 +154,18 @@ SnapshotError restore(const uint8_t *Data, size_t N, const vm::Code &Prog,
                       vm::ExecContext &Ctx, vm::Vm &Machine, MachineState &MS,
                       const RestoreLimits &Limits = RestoreLimits());
 
-/// The checksum restore() verifies: FNV-1a 64 over all bytes before the
-/// trailing checksum field. Exposed with resealChecksum() for hostile-
+/// The checksum restore() verifies over the \p N bytes before the trailing
+/// checksum field, by the seal of the buffer's own format version (bytes
+/// 4..8): byte-serial FNV-1a 64 for v1 and v2, the four-lane word seal
+/// for v3 (see Snapshot.cpp). Exposed with resealChecksum() for hostile-
 /// input tests that must craft *sealed* corruptions — a flipped depth
 /// field alone only ever reaches BadChecksum; rewriting the seal lets a
 /// test prove the inner typed rejections (DepthExceedsCapacity, ...) fire.
 uint64_t snapshotChecksum(const uint8_t *Data, size_t N);
 
-/// Recomputes and rewrites the trailing checksum of \p Snap in place.
-/// Testing support only; no production path ever reseals.
+/// Recomputes and rewrites the trailing checksum of \p Snap in place, by
+/// the seal of the buffer's own format version. Testing support only; no
+/// production path ever reseals.
 void resealChecksum(std::vector<uint8_t> &Snap);
 
 /// A faulting job's flight recorder: the last durable checkpoint plus the

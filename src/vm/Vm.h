@@ -11,6 +11,13 @@
 /// mutate a Vm through the inline accessors here; all accesses are bounds
 /// checked so a buggy guest program cannot corrupt the host.
 ///
+/// The Vm also keeps a touched-bytes bound under one invariant: every
+/// arena byte at or above touchedBound() is zero. Every write raises it
+/// (storeCell/storeByte/writeBytes, behind a branch that is not taken
+/// once the bound covers a program's working set), so what lives beside
+/// the running program — checkpoints, restores, recycled copies — costs
+/// what the program wrote, not the 1 MiB it could have written.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SC_VM_VM_H
@@ -32,12 +39,44 @@ class Vm {
   std::vector<uint8_t> Mem;
   Cell Here = CellBytes; // address 0 is reserved as a guaranteed trap
   size_t AccessibleLimit = static_cast<size_t>(-1); // run-time access cap
+  size_t Touched = 0; // every Mem byte at index >= Touched is zero
+
+  void touch(size_t End) {
+    if (End > Touched) [[unlikely]]
+      Touched = End;
+  }
 
 public:
   /// Output accumulated by Emit/Dot/TypeOp/...
   std::string Out;
 
   explicit Vm(size_t DataSpaceBytes = 1u << 20) : Mem(DataSpaceBytes, 0) {}
+
+  Vm(const Vm &) = default;
+  Vm(Vm &&) = default;
+  Vm &operator=(Vm &&) = default;
+
+  /// Same-size assignment (the scheduler's job recycling) copies only the
+  /// bytes below \p Src's bound and clears only what this Vm had touched
+  /// above it; the result equals a full copy because both arenas are zero
+  /// beyond their bounds.
+  Vm &operator=(const Vm &Src) {
+    if (this == &Src)
+      return *this;
+    if (Mem.size() == Src.Mem.size()) {
+      if (Src.Touched)
+        std::memcpy(Mem.data(), Src.Mem.data(), Src.Touched);
+      if (Touched > Src.Touched)
+        std::memset(Mem.data() + Src.Touched, 0, Touched - Src.Touched);
+    } else {
+      Mem = Src.Mem;
+    }
+    Touched = Src.Touched;
+    Here = Src.Here;
+    AccessibleLimit = Src.AccessibleLimit;
+    Out = Src.Out;
+    return *this;
+  }
 
   size_t dataSpaceSize() const { return Mem.size(); }
 
@@ -86,6 +125,7 @@ public:
 
   /// Stores a cell; caller must have checked validRange(Addr, CellBytes).
   void storeCell(Cell Addr, Cell V) {
+    touch(static_cast<size_t>(Addr) + sizeof(Cell));
     std::memcpy(Mem.data() + Addr, &V, sizeof(Cell));
   }
 
@@ -94,12 +134,14 @@ public:
 
   /// Stores the low byte of \p V; caller must have checked the range.
   void storeByte(Cell Addr, Cell V) {
+    touch(static_cast<size_t>(Addr) + 1);
     Mem[static_cast<size_t>(Addr)] = static_cast<uint8_t>(V);
   }
 
   /// Copies a host byte string into data space at \p Addr.
   void writeBytes(Cell Addr, const void *Src, size_t N) {
     SC_ASSERT(validRange(Addr, static_cast<Cell>(N)), "writeBytes range");
+    touch(static_cast<size_t>(Addr) + N);
     std::memcpy(Mem.data() + Addr, Src, N);
   }
 
@@ -133,6 +175,11 @@ public:
   /// 1 MiB arena costs a few hundred bytes on the wire.
   const uint8_t *memData() const { return Mem.data(); }
 
+  /// The touched-bytes bound: every data-space byte at or above it is
+  /// zero. Writes only raise it, restores and assignments reset it, and it
+  /// never exceeds dataSpaceSize(); the bytes below it may be zero too.
+  size_t touchedBound() const { return Touched; }
+
   /// The raw access cap, uncombined with the allocation size (contrast
   /// accessibleSize()). size_t(-1) means uncapped; snapshots must round-
   /// trip the distinction so a restored FaultInject run keeps its trap.
@@ -145,12 +192,15 @@ public:
   void restoreDataSpace(size_t Bytes, const uint8_t *Prefix, size_t N,
                         Cell NewHere, size_t Limit) {
     SC_ASSERT(N <= Bytes, "snapshot prefix exceeds data space");
-    if (Mem.size() == Bytes)
-      std::fill(Mem.begin() + N, Mem.end(), 0);
-    else
+    if (Mem.size() == Bytes) {
+      if (Touched > N)
+        std::memset(Mem.data() + N, 0, Touched - N);
+    } else {
       Mem.assign(Bytes, 0);
+    }
     if (N)
       std::memcpy(Mem.data(), Prefix, N);
+    Touched = N;
     Here = NewHere;
     AccessibleLimit = Limit;
   }

@@ -392,6 +392,12 @@ TEST(Wire, FrameBufferPoisonsOnGarbagePrefix) {
 constexpr const char *ComputeSrc =
     R"(variable acc : main 0 acc ! 16 0 do i i * acc @ + acc ! loop acc @ . ;)";
 constexpr const char *SpinSrc = ": main begin 1 drop again ;";
+/// ComputeSrc's loop 2000 times over: about 26k guest steps, some 400
+/// slice boundaries at 64-step slices. Checkpoints cost what a job wrote,
+/// so a job's time in flight is its guest work; this one stays in flight
+/// long enough for the rebalancer's marks to land on running jobs.
+constexpr const char *RebalanceSrc =
+    R"(variable acc : main 0 acc ! 2000 0 do i i * acc @ + acc ! loop acc @ . ;)";
 
 Frame submitFrame(const std::string &Tenant, uint64_t Token,
                   const char *Source, uint64_t ReqId = 1,
@@ -738,11 +744,13 @@ private:
 /// channels and returns every Result frame, keyed by token. Tenants
 /// cycle through \p TenantCount names; 1 concentrates the whole load on
 /// one shard (the skew the rebalancer exists for). \p StatsOut, when
-/// set, receives the post-shutdown service counters.
+/// set, receives the post-shutdown service counters. Every job runs
+/// \p Source.
 std::map<uint64_t, Frame>
 chaosRun(ServiceConfig Cfg, ChaosConfig Chaos, uint64_t Kills, uint64_t Jobs,
          unsigned ClientThreads, unsigned TenantCount = 3,
-         ServiceStats *StatsOut = nullptr, bool Pipeline = false) {
+         ServiceStats *StatsOut = nullptr, bool Pipeline = false,
+         const char *Source = ComputeSrc) {
   ServiceFrontEnd FE(Cfg);
   std::vector<std::thread> ServerThreads;
   std::mutex HostMu;
@@ -796,7 +804,7 @@ chaosRun(ServiceConfig Cfg, ChaosConfig Chaos, uint64_t Kills, uint64_t Jobs,
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now().time_since_epoch())
                 .count();
-        while (!Client.submit(Ticket, ComputeSrc, "main", 0, Resp)) {
+        while (!Client.submit(Ticket, Source, "main", 0, Resp)) {
           const uint64_t Now =
               std::chrono::duration_cast<std::chrono::nanoseconds>(
                   std::chrono::steady_clock::now().time_since_epoch())
@@ -1013,10 +1021,24 @@ TEST(Server, HostileBytesGetTypedErrors) {
 // Live migration: cross-shard rebalancing and cross-process adoption
 //===----------------------------------------------------------------------===//
 
-/// Long enough (a few thousand guest steps) that an extraction issued
-/// right after submit reliably catches the job queued or mid-flight.
+/// A few thousand guest steps: short enough for the every-boundary
+/// sweep below, long enough that an extraction issued right after submit
+/// usually catches the job queued or mid-flight.
 constexpr const char *MigrateSrc =
     R"(variable acc : main 0 acc ! 600 0 do i acc @ + acc ! loop acc @ . ;)";
+/// MigrateSrc's loop 100 times longer (about 420k guest steps, some 6500
+/// slices at 64 steps). Multi-job tests whose precondition is "some job is
+/// still in flight when the rebalancer or a migrator reaches it" use this
+/// one: a job's time in flight is its guest work now that checkpoints
+/// cost what it wrote.
+constexpr const char *LongMigrateSrc =
+    R"(variable acc : main 0 acc ! 60000 0 do i acc @ + acc ! loop acc @ . ;)";
+/// A 1000 x 1000 loop nest, about 7M guest steps. A single job that must
+/// still be in flight across a test's control calls runs this: one run
+/// takes tens of milliseconds, two orders of magnitude more than the
+/// longest submit-to-extract gap seen with the programs above.
+constexpr const char *HoldSrc =
+    R"(variable acc : main 0 acc ! 1000 0 do 1000 0 do i acc @ + acc ! loop loop acc @ . ;)";
 
 Frame commitFrame(const JobTicket &T, uint64_t ReqId = 9) {
   Frame F;
@@ -1182,20 +1204,20 @@ TEST(Migration, TornCommitRetryAndAbandonMatrix) {
 
   // The unmigrated reference.
   ServiceFrontEnd Ref(Cfg);
-  ASSERT_EQ(Ref.handle(submitFrame("t", 1, MigrateSrc)).Type,
+  ASSERT_EQ(Ref.handle(submitFrame("t", 1, HoldSrc)).Type,
             FrameType::SubmitAck);
   const Frame R0 = awaitResult(Ref, "t", 1);
   Ref.shutdown();
 
   ServiceFrontEnd Src(Cfg), Dst(Cfg);
   const JobTicket T{"t", 1};
-  ASSERT_EQ(Src.handle(submitFrame("t", 1, MigrateSrc)).Type,
+  ASSERT_EQ(Src.handle(submitFrame("t", 1, HoldSrc)).Type,
             FrameType::SubmitAck);
 
   Frame Offer;
   ASSERT_TRUE(Src.extractForMigration(T, Offer));
   EXPECT_EQ(Offer.Type, FrameType::MigrateOffer);
-  EXPECT_EQ(Offer.Source, std::string(MigrateSrc));
+  EXPECT_EQ(Offer.Source, std::string(HoldSrc));
 
   // While escrowed the source still answers polls — with Pending.
   EXPECT_EQ(Src.handle(pollFrame("t", 1)).Type, FrameType::Pending);
@@ -1244,7 +1266,7 @@ TEST(Migration, TornCommitRetryAndAbandonMatrix) {
   EXPECT_EQ(U.Err, ServiceError::UnknownMigration);
 
   // The abandon path: extract, never offer, re-admit locally.
-  ASSERT_EQ(Src.handle(submitFrame("t", 2, MigrateSrc)).Type,
+  ASSERT_EQ(Src.handle(submitFrame("t", 2, HoldSrc)).Type,
             FrameType::SubmitAck);
   const JobTicket T2{"t", 2};
   Frame Offer2;
@@ -1280,7 +1302,7 @@ TEST(Migration, RejectedActivationErasesTheAdoption) {
   ServiceFrontEnd Dst(PeerCfg);
 
   const JobTicket T{"t", 7};
-  ASSERT_EQ(Src.handle(submitFrame("t", 7, MigrateSrc)).Type,
+  ASSERT_EQ(Src.handle(submitFrame("t", 7, HoldSrc)).Type,
             FrameType::SubmitAck);
   Frame Offer;
   ASSERT_TRUE(Src.extractForMigration(T, Offer));
@@ -1306,7 +1328,7 @@ TEST(Migration, RejectedActivationErasesTheAdoption) {
   ASSERT_TRUE(Src.abandonMigration(T));
   ServiceConfig RefCfg = Cfg;
   ServiceFrontEnd Ref(RefCfg);
-  ASSERT_EQ(Ref.handle(submitFrame("t", 7, MigrateSrc)).Type,
+  ASSERT_EQ(Ref.handle(submitFrame("t", 7, HoldSrc)).Type,
             FrameType::SubmitAck);
   expectSameResult(awaitResult(Src, "t", 7), awaitResult(Ref, "t", 7),
                    "after refused commit");
@@ -1407,7 +1429,7 @@ TEST(Service, RebalancerDrainsHotShardExactlyOnce) {
   ServiceConfig Off = Cfg;
   ServiceFrontEnd Ref(Off);
   for (uint64_t I = 0; I < Jobs; ++I)
-    ASSERT_EQ(Ref.handle(submitFrame("hot", I + 1, MigrateSrc)).Type,
+    ASSERT_EQ(Ref.handle(submitFrame("hot", I + 1, LongMigrateSrc)).Type,
               FrameType::SubmitAck);
   std::map<uint64_t, Frame> Baseline;
   for (uint64_t I = 0; I < Jobs; ++I)
@@ -1422,7 +1444,7 @@ TEST(Service, RebalancerDrainsHotShardExactlyOnce) {
   On.RebalanceBatch = 8;
   ServiceFrontEnd FE(On);
   for (uint64_t I = 0; I < Jobs; ++I)
-    ASSERT_EQ(FE.handle(submitFrame("hot", I + 1, MigrateSrc)).Type,
+    ASSERT_EQ(FE.handle(submitFrame("hot", I + 1, LongMigrateSrc)).Type,
               FrameType::SubmitAck);
   for (uint64_t I = 0; I < Jobs; ++I)
     expectSameResult(awaitResult(FE, "hot", I + 1), Baseline.at(I + 1),
@@ -1469,7 +1491,7 @@ TEST(Service, ChaosRebalanceDifferential) {
   Clean.CheckpointEverySlices = 1;
   const std::map<uint64_t, Frame> Baseline =
       chaosRun(Clean, ChaosConfig{}, 0, Jobs, 3, 1, nullptr,
-               /*Pipeline=*/true);
+               /*Pipeline=*/true, RebalanceSrc);
   ASSERT_EQ(Baseline.size(), Jobs);
 
   ServiceConfig Stormy = Clean;
@@ -1481,7 +1503,7 @@ TEST(Service, ChaosRebalanceDifferential) {
   ServiceStats Stats;
   const std::map<uint64_t, Frame> Stormed =
       chaosRun(Stormy, ChaosConfig::storm(0xBA1A4CEULL), 4, Jobs, 3, 1,
-               &Stats, /*Pipeline=*/true);
+               &Stats, /*Pipeline=*/true, RebalanceSrc);
   ASSERT_EQ(Stormed.size(), Jobs);
   EXPECT_GT(Stats.Rebalanced, 0u);
 
@@ -1495,17 +1517,15 @@ TEST(Service, ChaosRebalanceDifferential) {
 /// counts it on its real shard and can move it again. (A stale mark hid
 /// it from the rebalancer and booked it against the cold shard.)
 TEST(Service, AbandonedExtractionClearsTheRebalanceMark) {
-  // A few hundred thousand guest steps: it outlives the control steps
-  // below by a wide margin.
-  constexpr const char *LongSrc =
-      R"(variable acc : main 0 acc ! 30000 0 do i acc @ + acc ! loop acc @ . ;)";
+  // Job 1 runs HoldSrc: it outlives the control steps below by a wide
+  // margin.
   ServiceConfig Cfg;
   Cfg.Shards = 2;
   Cfg.SliceSteps = 256;
   Cfg.CheckpointEverySlices = 1;
 
   ServiceFrontEnd Ref(Cfg);
-  ASSERT_EQ(Ref.handle(submitFrame("hot", 1, LongSrc)).Type,
+  ASSERT_EQ(Ref.handle(submitFrame("hot", 1, HoldSrc)).Type,
             FrameType::SubmitAck);
   const Frame R0 = awaitResult(Ref, "hot", 1);
   Ref.shutdown();
@@ -1522,7 +1542,7 @@ TEST(Service, AbandonedExtractionClearsTheRebalanceMark) {
     Cold = "cold-" + std::to_string(I);
 
   // Job 1 (under test) and a spinner live on the hot shard.
-  ASSERT_EQ(FE.handle(submitFrame("hot", 1, LongSrc)).Type,
+  ASSERT_EQ(FE.handle(submitFrame("hot", 1, HoldSrc)).Type,
             FrameType::SubmitAck);
   ASSERT_EQ(FE.handle(submitFrame("hot", 2, SpinSrc)).Type,
             FrameType::SubmitAck);
@@ -1545,7 +1565,7 @@ TEST(Service, AbandonedExtractionClearsTheRebalanceMark) {
   // slice boundary it is re-admitted on the cold shard.
   Frame Ack;
   for (int Spin = 0; Spin < 100000; ++Spin) {
-    Ack = FE.handle(submitFrame("hot", 1, LongSrc));
+    Ack = FE.handle(submitFrame("hot", 1, HoldSrc));
     if (Ack.Type != FrameType::SubmitAck || Ack.Shard != Hot)
       break;
     std::this_thread::sleep_for(std::chrono::microseconds(100));
@@ -1585,7 +1605,7 @@ TEST(Migration, CrossProcessChaosDifferential) {
   {
     ServiceFrontEnd Ref(Cfg);
     for (uint64_t I = 0; I < Jobs; ++I)
-      ASSERT_EQ(Ref.handle(submitFrame("mig", I + 1, MigrateSrc)).Type,
+      ASSERT_EQ(Ref.handle(submitFrame("mig", I + 1, LongMigrateSrc)).Type,
                 FrameType::SubmitAck);
     for (uint64_t I = 0; I < Jobs; ++I)
       Baseline.emplace(I + 1, awaitResult(Ref, "mig", I + 1));
@@ -1600,10 +1620,14 @@ TEST(Migration, CrossProcessChaosDifferential) {
     RetryPolicy Pol;
     Pol.MaxAttempts = 40;
     Pol.AttemptTimeoutNs = 100'000'000;
-    LocalPeer Peer(Dst, ChaosConfig::storm(0x51DE0ULL), Pol);
+    // A ServiceClient is not thread-safe: each migrator gets its own
+    // client and connections.
+    LocalPeer PeerA(Dst, ChaosConfig::storm(0x51DE0ULL), Pol);
+    LocalPeer PeerB(Dst, ChaosConfig::storm(0x51DE1ULL), Pol);
+    ServiceClient *PeerClients[2] = {PeerA.Client.get(), PeerB.Client.get()};
 
     for (uint64_t I = 0; I < Jobs; ++I)
-      ASSERT_EQ(Src.handle(submitFrame("mig", I + 1, MigrateSrc)).Type,
+      ASSERT_EQ(Src.handle(submitFrame("mig", I + 1, LongMigrateSrc)).Type,
                 FrameType::SubmitAck);
 
     std::atomic<bool> Stop{false};
@@ -1621,10 +1645,10 @@ TEST(Migration, CrossProcessChaosDifferential) {
       Migrators.emplace_back([&, W] {
         for (uint64_t I = W; I < Jobs; I += 2) {
           const JobTicket T{"mig", I + 1};
-          MigrateOutcome O = migrateJob(Src, *Peer.Client, T);
+          MigrateOutcome O = migrateJob(Src, *PeerClients[W], T);
           bool DidComplete = O == MigrateOutcome::Completed;
           if (O == MigrateOutcome::Torn)
-            resolveTorn(Src, *Peer.Client, T, DidComplete);
+            resolveTorn(Src, *PeerClients[W], T, DidComplete);
           std::lock_guard<std::mutex> L(CountMu);
           Completed += DidComplete;
         }

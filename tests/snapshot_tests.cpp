@@ -29,9 +29,11 @@
 #include "session/VmSession.h"
 #include "snapshot/Snapshot.h"
 #include "staticcache/StaticSpec.h"
+#include "TestSupport.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -148,7 +150,7 @@ TEST(SnapshotFormat, RoundTripBitIdentity) {
 
   SnapshotHeader H;
   ASSERT_EQ(readHeader(Snap.data(), Snap.size(), H), SnapshotError::None);
-  EXPECT_EQ(H.FormatVersion, 2u); // the v2 writer (tier sidecar)
+  EXPECT_EQ(H.FormatVersion, 3u); // the v3 writer (word seal)
   EXPECT_EQ(H.TotalBytes, Snap.size());
   EXPECT_EQ(H.CodeIdentity, F.Sys->Prog.identity());
   EXPECT_EQ(H.CodeVersion, F.Sys->Prog.version());
@@ -193,7 +195,7 @@ TEST(SnapshotFormat, UnsealedCorruptionStopsAtTheRightLayer) {
   }
   {
     std::vector<uint8_t> B = Snap; // future format: refused pre-checksum,
-    put32(B, OffVersion, 999);     // a v2 writer seals v2 checksums
+    put32(B, OffVersion, 999);     // its seal is unknown to this reader
     EXPECT_EQ(headerErr(B), SnapshotError::BadFormatVersion);
   }
   {
@@ -287,7 +289,7 @@ TEST(SnapshotFormat, TierSidecarRoundTripsAndV1ReadsAsZero) {
   const std::vector<uint8_t> Snap = cutCheckpoint(F, 8, 2);
   SnapshotHeader H;
   ASSERT_EQ(readHeader(Snap.data(), Snap.size(), H), SnapshotError::None);
-  EXPECT_EQ(H.FormatVersion, 2u);
+  EXPECT_EQ(H.FormatVersion, 3u);
 
   // A nonzero sidecar survives the sealed buffer bit-exactly.
   std::vector<uint8_t> Hot = Snap;
@@ -321,6 +323,83 @@ TEST(SnapshotFormat, TierSidecarRoundTripsAndV1ReadsAsZero) {
     return M.Out;
   };
   EXPECT_EQ(RunFrom(V1), RunFrom(Snap));
+}
+
+/// An sc-snap v2 buffer written by the last v2 writer (byte-serial
+/// FNV-1a seal): SliceProgramSrc under the switch engine, preempted
+/// after 14 slices of 8 steps. It must keep restoring and running now
+/// that the writer seals v3.
+constexpr uint8_t V2Fixture[] = {
+    0x53, 0x43, 0x53, 0x4e, 0x02, 0x00, 0x00, 0x00, 0xd1, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x99, 0xe4, 0x2d, 0xdc, 0x91, 0x60, 0xf7, 0x02,
+    0x2e, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0e, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+    0x70, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0e, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x05, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x00, 0x00, 0x10, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x70, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x18, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x46, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd6, 0xe8, 0xd6,
+    0x5b, 0xc1, 0x9f, 0x03, 0x28,
+};
+
+TEST(SnapshotFormat, V2FixtureRestoresAndRunsToTheSameResult) {
+  SessionFixture F(SliceProgramSrc, prepare::EngineId::Switch,
+                   SessionPolicy{.SliceSteps = 8});
+  const std::vector<uint8_t> V2(std::begin(V2Fixture), std::end(V2Fixture));
+  SnapshotHeader H;
+  ASSERT_EQ(readHeader(V2.data(), V2.size(), H), SnapshotError::None);
+  EXPECT_EQ(H.FormatVersion, 2u);
+  EXPECT_EQ(H.CodeIdentity, F.Sys->Prog.identity());
+  EXPECT_EQ(H.MS.StepsRetired, 8u * 14u);
+
+  // The uninterrupted run, and the fixture's continuation in a fresh
+  // session: same stop, same total steps, same output.
+  const SessionResult Whole = F.S->run(F.Sys->entryOf("main"));
+  ASSERT_EQ(Whole.Stop, StopKind::Halted);
+  Vm M(0);
+  VmSession S(F.PC, M, SessionPolicy{.SliceSteps = 8});
+  MachineState MS;
+  ASSERT_EQ(S.restoreFrom(V2, &MS), SnapshotError::None);
+  const SessionResult Rest = S.run(S.restoredPc());
+  EXPECT_EQ(Rest.Stop, StopKind::Halted);
+  EXPECT_EQ(MS.StepsRetired + Rest.Outcome.Steps, Whole.Outcome.Steps);
+  EXPECT_EQ(M.Out, F.Machine.Out);
+
+  // A checkpoint of the restored state is written as v3.
+  const std::vector<uint8_t> Again = S.checkpoint(S.restoredPc());
+  ASSERT_EQ(readHeader(Again.data(), Again.size(), H), SnapshotError::None);
+  EXPECT_EQ(H.FormatVersion, 3u);
+}
+
+/// The v3 seal folds each lane's high half down after every multiply.
+/// Without the fold, flipping bit 63 of two words in one lane cancels:
+/// the flip reaches bit 63 of the product and nothing else. Every such
+/// pair past the magic/version and length words must be caught.
+TEST(SnapshotFormat, V3SealCatchesPairedBit63FlipsInOneLane) {
+  SessionFixture F(SliceProgramSrc, prepare::EngineId::Switch,
+                   SessionPolicy{.SliceSteps = 8});
+  const std::vector<uint8_t> Snap = cutCheckpoint(F, 8, 3);
+  ASSERT_EQ(headerErr(Snap), SnapshotError::None);
+  const size_t Words = Snap.size() / 8;
+  unsigned Pairs = 0;
+  for (size_t A = 2; A < Words; ++A)
+    for (size_t B = A + 4; B < Words; B += 4) {
+      std::vector<uint8_t> M = Snap;
+      M[A * 8 + 7] ^= 0x80;
+      M[B * 8 + 7] ^= 0x80;
+      EXPECT_EQ(headerErr(M), SnapshotError::BadChecksum)
+          << "bit-63 flips in words " << A << " and " << B;
+      ++Pairs;
+    }
+  EXPECT_GT(Pairs, 20u);
 }
 
 TEST(SnapshotFormat, CodeMismatchAcrossPrograms) {
@@ -379,6 +458,151 @@ TEST(SnapshotDifferential, MutationFuzzOverValidSnapshots) {
       harness::fuzzSnapshots(*Sys, "main", 300, 0xBADC0DEull);
   EXPECT_TRUE(R.ok()) << R.FirstDivergence;
   EXPECT_EQ(R.Points, 300u);
+}
+
+//===----------------------------------------------------------------------===//
+// Touched-bytes bound: the Vm's invariant against a full-arena oracle
+//===----------------------------------------------------------------------===//
+
+/// Stores zeros, a byte above every earlier store, the arena's last cell
+/// and last byte, and interns a string (compile-time writeBytes) and
+/// types it, with loops between the stores so slice boundaries fall
+/// between them. \p ArenaBytes is the System's data-space size.
+std::string storeHeavySrc(size_t ArenaBytes) {
+  const std::string LastCell = std::to_string(ArenaBytes - CellBytes);
+  const std::string LastByte = std::to_string(ArenaBytes - 1);
+  const std::string Mid = std::to_string(ArenaBytes / 2);
+  const std::string High = std::to_string(ArenaBytes / 4 * 3);
+  return "variable v\n"
+         ": spin 20 0 do i v @ + v ! loop ;\n"
+         ": main 0 v ! 0 " + Mid + " ! spin 3 " + High + " c! spin\n"
+         "  s\" touched\" type spin\n"
+         "  7 " + LastCell + " ! spin 9 " + LastByte + " c! spin\n"
+         "  " + LastCell + " @ . 0 " + LastCell + " ! spin\n"
+         "  0 " + LastByte + " c! 5 " + Mid + " c! spin v @ . ;\n";
+}
+
+/// The trimmed data prefix as a byte scan over the whole arena finds it.
+size_t fullArenaPrefix(const Vm &M) {
+  const uint8_t *P = M.memData();
+  size_t N = M.dataSpaceSize();
+  while (N > 0 && P[N - 1] == 0)
+    --N;
+  return N;
+}
+
+/// A copy of \p M whose touched bound is the whole arena: rewriting the
+/// top byte with its own value raises the bound and changes no byte.
+Vm fullyTouched(const Vm &M) {
+  Vm C = M;
+  const Cell Top = static_cast<Cell>(M.dataSpaceSize()) - 1;
+  C.storeByte(Top, M.loadByte(Top));
+  return C;
+}
+
+void expectSameVm(const Vm &Got, const Vm &Want, const std::string &Where) {
+  ASSERT_EQ(Got.dataSpaceSize(), Want.dataSpaceSize()) << Where;
+  EXPECT_EQ(std::memcmp(Got.memData(), Want.memData(), Want.dataSpaceSize()),
+            0)
+      << Where;
+  EXPECT_EQ(Got.touchedBound(), Want.touchedBound()) << Where;
+  EXPECT_EQ(Got.here(), Want.here()) << Where;
+  EXPECT_EQ(Got.accessibleLimit(), Want.accessibleLimit()) << Where;
+  EXPECT_EQ(Got.Out, Want.Out) << Where;
+}
+
+/// One slice boundary: the invariant holds, the checkpoint equals the
+/// serialization of a fully-touched copy byte for byte (and trims to the
+/// full-arena scan's prefix), and same-size assignment between this state
+/// and \p Prev equals a full copy in both directions.
+void checkBoundary(SessionFixture &F, uint32_t Pc, const Vm &Prev,
+                   const std::string &Where) {
+  const Vm &M = F.Machine;
+  const uint8_t *P = M.memData();
+  ASSERT_LE(M.touchedBound(), M.dataSpaceSize()) << Where;
+  const uint8_t *NonZero =
+      std::find_if(P + M.touchedBound(), P + M.dataSpaceSize(),
+                   [](uint8_t B) { return B != 0; });
+  EXPECT_EQ(NonZero, P + M.dataSpaceSize())
+      << Where << ": non-zero byte at " << (NonZero - P) << " above bound "
+      << M.touchedBound();
+
+  const std::vector<uint8_t> Ckpt = F.S->checkpoint(Pc);
+  SnapshotHeader H;
+  ASSERT_EQ(readHeader(Ckpt.data(), Ckpt.size(), H), SnapshotError::None)
+      << Where;
+  EXPECT_EQ(H.DataPrefixBytes, fullArenaPrefix(M)) << Where;
+  EXPECT_EQ(H.CodeIdentity, F.PC->program().identity()) << Where;
+  MachineState MS;
+  MS.Pc = Pc;
+  EXPECT_EQ(serialize(F.S->context(), M, MS),
+            serialize(F.S->context(), fullyTouched(M), MS))
+      << Where;
+
+  Vm Up = Prev; // the earlier, lower bound receives the later state
+  Up = M;
+  expectSameVm(Up, Vm(M), Where + " (later into earlier)");
+  Vm Down = M; // and the other way round
+  Down = Prev;
+  expectSameVm(Down, Vm(Prev), Where + " (earlier into later)");
+}
+
+class TouchedBoundTest : public ::testing::TestWithParam<engine::EngineId> {};
+
+INSTANTIATE_TEST_SUITE_P(Engines, TouchedBoundTest,
+                         ::testing::ValuesIn(tests::registryEngines()),
+                         tests::engineParamName);
+
+/// Runs each Fig. 20 program and the store-heavy program in slices under
+/// the engine and checks the bound at several boundaries of each.
+TEST_P(TouchedBoundTest, CheckpointsMatchAFullArenaScan) {
+  const engine::EngineId E = GetParam();
+  std::vector<std::pair<std::string, std::string>> Programs; // name, source
+  size_t N = 0;
+  const workloads::WorkloadInfo *W = workloads::allWorkloads(N);
+  for (size_t I = 0; I < N; ++I)
+    Programs.emplace_back(W[I].Name, W[I].Source);
+  Programs.emplace_back("store-heavy",
+                        storeHeavySrc(forth::loadOrDie(SliceProgramSrc)
+                                          ->Machine.dataSpaceSize()));
+
+  for (const auto &[Name, Src] : Programs) {
+    // Total steps under this engine, then about eight slices of them.
+    uint64_t Total = 0;
+    {
+      SessionFixture Once(Src.c_str(), E);
+      const SessionResult R = Once.S->run(Once.Sys->entryOf("main"));
+      ASSERT_EQ(R.Stop, StopKind::Halted) << Name;
+      Total = R.Outcome.Steps;
+    }
+    SessionFixture F(Src.c_str(), E,
+                     SessionPolicy{.SliceSteps = std::max<uint64_t>(
+                                       1, Total / 8)});
+    Vm Prev = F.Machine;
+    const size_t StartBound = F.Machine.touchedBound();
+    uint32_t Pc = F.Sys->entryOf("main");
+    unsigned Boundaries = 0;
+    for (;;) {
+      const SessionResult R = F.S->run(Pc, 1);
+      if (R.Stop != StopKind::Preempted) {
+        ASSERT_EQ(R.Stop, StopKind::Halted) << Name;
+        break;
+      }
+      Pc = R.ResumePc;
+      checkBoundary(F, Pc, Prev,
+                    Name + " boundary " + std::to_string(++Boundaries));
+      Prev = F.Machine;
+    }
+    EXPECT_GE(Boundaries, 4u) << Name;
+    if (Name == "store-heavy") {
+      // The last cell was written: the bound reached the top of the
+      // arena, while the trimmed prefix came back down.
+      EXPECT_EQ(F.Machine.touchedBound(), F.Machine.dataSpaceSize());
+      EXPECT_GT(F.Machine.touchedBound(), StartBound);
+      EXPECT_LT(fullArenaPrefix(F.Machine), F.Machine.dataSpaceSize());
+      EXPECT_NE(F.Machine.Out.find("touched"), std::string::npos);
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
